@@ -13,12 +13,15 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .distributions import (
     DistributionError,
     FrequencyDistribution,
+    ValidationError,
     cumulate,
     parse_distributions,
 )
@@ -74,6 +77,16 @@ def _parse_seed(text: str) -> int:
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return value
+
+
+def _parse_exponent(text: str) -> Fraction | float:
+    """An integer or p/q is exact (a Fraction); any other number is a float."""
+    try:
+        if re.fullmatch(r"[+-]?\d+(/\d+)?", text.strip()):
+            return Fraction(text)
+        return float(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"invalid exponent {text!r}") from None
 
 
 def _default_threads() -> int:
@@ -208,8 +221,9 @@ def _cmd_uniq(args) -> int:
             args.n, args.k, cap=args.cap, max_collisions=args.max_collisions
         )
     else:
+        z = _parse_exponent(args.z)
         report = audit_uniqueness(
-            args.n, args.k, args.z, cap=args.cap, max_collisions=args.max_collisions
+            args.n, args.k, z, cap=args.cap, max_collisions=args.max_collisions
         )
     if args.format == "json":
         _write_output(_dump_json(report.to_json_dict()), args.out)
@@ -403,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("uniq", help="audit uniqueness of shift values over A(n, k)")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--z", type=float, default=None, help="exponent (default: (k+1)/k)")
+    p.add_argument(
+        "--z", default=None, help="exponent; an integer or p/q is exact (default: (k+1)/k)"
+    )
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="refuse sets larger than this")
     p.add_argument("--max-collisions", type=int, default=20, help="collision records to keep")
     _add_output_options(p, formats=("text", "json", "csv"))

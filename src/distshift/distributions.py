@@ -7,6 +7,7 @@ Both are immutable; every operation here is a pure function.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -35,14 +36,16 @@ class FrequencyDistribution:
 
     def __post_init__(self):
         counts = tuple(self.counts)
-        object.__setattr__(self, "counts", counts)
         if len(counts) < 2:
             raise ValidationError(f"need at least 2 bins, got {len(counts)}")
         for i, c in enumerate(counts):
-            if isinstance(c, bool) or not isinstance(c, int):
+            # anything usable as an index (numpy integers too), but no bools
+            if type(c) is not int and (isinstance(c, bool) or not hasattr(c, "__index__")):
                 raise ValidationError(f"non-integer count {c!r} at bin {i}")
             if c < 0:
                 raise ValidationError(f"negative count {c} at bin {i}")
+        counts = tuple(map(operator.index, counts))
+        object.__setattr__(self, "counts", counts)
         if sum(counts) < 1:
             raise ValidationError("total observations must be at least 1")
 

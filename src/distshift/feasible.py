@@ -6,23 +6,23 @@ enumeration over cumulative forms, unbiased uniform sampling, and the
 uniqueness audit that checks whether the exponentiated cumulative sums
 sum((F_i/n)**z) separate every member of a feasible set.
 
-Audits over integer exponents run in exact integer arithmetic, so ties
-are detected with no tolerance ambiguity. Rational exponents p/q (the
-default z = (k+1)/k is one) are also decided exactly: each term t**(p/q)
-is u * v**(1/q) with v free of q-th powers, distinct such radicals are
-linearly independent over the rationals, so two sums are equal exactly
-when their integer coefficients agree radical by radical. That is tested
-with deterministic random multipliers modulo 2**64, and any candidate
-collision is confirmed against a second independent multiplier set
-before it is reported. Exponents given as arbitrary floats fall back to
-float64 sums; there, two values collide when they are bitwise equal or
-within 1e-12 relative, and near-misses within (1e-12, 1e-9] relative are
-reported separately as suspects for manual review.
+An exponent given as an integer, an integer-valued float or a Fraction
+p/q is decided exactly (an integer is the case q = 1). Each term
+t**(p/q) is u * v**(1/q) with v free of q-th powers; distinct such
+radicals are linearly independent over the rationals, so two sums are
+equal exactly when their integer coefficients agree radical by radical.
+One uint64 hash of those coefficients finds the candidate collisions.
+For integer z with k * n**z < 2**64 the hash is the exact sum and
+candidates are collisions; otherwise each candidate group is regrouped
+by its exact coefficients before anything is reported. Any other float
+exponent uses float64 sums: there, two values collide when they are
+bitwise equal or within 1e-12 relative, and near-misses within
+(1e-12, 1e-9] relative are reported separately as suspects for manual
+review.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -38,8 +38,10 @@ COLLISION_RTOL = 1e-12
 SUSPECT_RTOL = 1e-9
 
 _HASH_MASK = (1 << 64) - 1
-#: Fixed entropy so exact rational audits hash identically run to run.
+#: Fixed entropy so exact audits hash identically run to run.
 _AUDIT_ENTROPY = 0x1BD49A56F0C3
+#: Members looked up per step when finding the members of shared hashes.
+_LOOKUP_CHUNK = 1 << 18
 
 
 class CapExceededError(ValidationError):
@@ -65,19 +67,6 @@ def cardinality(n: int, k: int) -> int:
     """Exact number of members of A(n, k): C(n + k - 1, k - 1)."""
     _validate_nk(n, k)
     return math.comb(n + k - 1, k - 1)
-
-
-@dataclass(frozen=True)
-class FeasibleSetSpec:
-    """The pair (n, k) identifying a feasible set, with its exact size."""
-
-    n: int
-    k: int
-    cardinality: int
-
-    @classmethod
-    def of(cls, n: int, k: int) -> "FeasibleSetSpec":
-        return cls(n=n, k=k, cardinality=cardinality(n, k))
 
 
 def _cumulative_forms(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -171,7 +160,7 @@ class UniquenessReport:
     collisions: tuple[CollisionRecord, ...]
     suspect_count: int
     suspects: tuple[tuple[float, float], ...]
-    exact: bool  # True when the audit ran in integer arithmetic
+    exact: bool  # True when ties were decided exactly, False under the float tolerance rule
 
     @property
     def fully_unique(self) -> bool:
@@ -210,86 +199,50 @@ def audit_uniqueness(
     """Compute sum((F_i/n)**z) for every member of A(n, k) and count the
     distinct values, reporting collisions with member witnesses.
 
-    ``z`` may be a float or a ``fractions.Fraction``; Fractions (and
-    small integers) are audited in exact arithmetic, other floats in
-    float64 with the collision/suspect tolerance rule. The collision
-    list is truncated to ``max_collisions`` records with at most
-    ``witnesses_per_value`` cumulative forms each.
+    ``z`` may be an int, a float or a ``fractions.Fraction``. Ints,
+    integer-valued floats and Fractions are audited exactly, other
+    floats in float64 with the collision/suspect tolerance rule. The
+    collision list keeps the ``max_collisions`` smallest shared values,
+    each with its first ``witnesses_per_value`` cumulative forms in
+    lexicographic order.
     """
     if isinstance(z, Fraction):
-        if z <= 0:
-            raise ValidationError(f"exponent must be positive, got {z}")
-        z_frac = z
-        z = float(z)
+        exact_z = z
     else:
         z = float(z)
-        if not z > 0:
-            raise ValidationError(f"exponent must be positive, got {z}")
-        z_frac = Fraction(int(z)) if z.is_integer() else None
+        exact_z = Fraction(int(z)) if z.is_integer() else None
+    if not z > 0:
+        raise ValidationError(f"exponent must be positive, got {z}")
     size = cardinality(n, k)
     if size > cap:
         raise CapExceededError(n, k, size, cap)
 
-    use_int = (
-        z_frac is not None
-        and z_frac.denominator == 1
-        and k * n ** int(z_frac) < 2**62
-    )
-    if z_frac is not None and z_frac.denominator > 1:
-        return _audit_rational(n, k, z_frac, size, max_collisions, witnesses_per_value)
-    if use_int:
-        sums = _member_sums_int(n, k, int(z))
-        values, counts = np.unique(sums, return_counts=True)
-        colliding = values[counts >= 2]
-        collision_sizes = counts[counts >= 2]
-        unique_values = len(values)
-        suspect_count = 0
-        suspects: tuple[tuple[float, float], ...] = ()
-        scale = float(n) ** z
-        targets = {int(v): int(c) for v, c in zip(colliding[:max_collisions], collision_sizes)}
-        witness_map = _collect_witnesses_int(n, k, int(z), set(targets), witnesses_per_value)
-        records = tuple(
-            CollisionRecord(value=v / scale, count=targets[v], members=tuple(witness_map[v]))
-            for v in sorted(targets)
+    if exact_z is None:
+        unique_values, collision_count, groups, suspect_count, suspects = _audit_float(
+            n, k, z, max_collisions
         )
-        collision_count = len(colliding)
     else:
-        sums = np.sort(_member_sums_float(n, k, z))
-        gaps = np.diff(sums)
-        limit_collide = COLLISION_RTOL * sums[1:]
-        limit_suspect = SUSPECT_RTOL * sums[1:]
-        new_cluster = gaps > limit_collide
-        unique_values = int(new_cluster.sum()) + 1
-        suspect_mask = new_cluster & (gaps <= limit_suspect)
-        suspect_count = int(suspect_mask.sum())
-        suspect_idx = np.flatnonzero(suspect_mask)[:max_collisions]
-        suspects = tuple((float(sums[i]), float(sums[i + 1])) for i in suspect_idx)
-
-        starts = np.concatenate(([0], np.flatnonzero(new_cluster) + 1, [size]))
-        sizes = np.diff(starts)
-        bad = np.flatnonzero(sizes >= 2)
-        collision_count = len(bad)
-        ranges = [
-            (float(sums[starts[i]]), float(sums[starts[i] + sizes[i] - 1]), int(sizes[i]))
-            for i in bad[:max_collisions]
-        ]
-        witness_map = _collect_witnesses_float(n, k, z, ranges, witnesses_per_value)
-        records = tuple(
-            CollisionRecord(value=lo, count=cnt, members=tuple(witness_map[idx]))
-            for idx, (lo, _hi, cnt) in enumerate(ranges)
+        unique_values, collision_count, groups = _audit_exact(n, k, exact_z, max_collisions)
+        suspect_count, suspects = 0, ()
+    records = tuple(
+        CollisionRecord(
+            value=value,
+            count=len(forms),
+            members=tuple(map(tuple, forms[:witnesses_per_value].tolist())),
         )
-
+        for value, forms in groups
+    )
     return UniquenessReport(
         n=n,
         k=k,
-        z=z,
+        z=float(z),
         total=size,
         unique_values=unique_values,
         collision_count=collision_count,
         collisions=records,
         suspect_count=suspect_count,
         suspects=suspects,
-        exact=use_int,
+        exact=exact_z is not None,
     )
 
 
@@ -303,55 +256,71 @@ def audit_uniqueness_default(n: int, k: int, **kwargs) -> UniquenessReport:
     return audit_uniqueness(n, k, Fraction(k + 1, k), **kwargs)
 
 
-def _audit_rational(
-    n: int, k: int, frac: Fraction, size: int, max_collisions: int, witnesses_per_value: int
-) -> UniquenessReport:
-    """Exact uniqueness audit for a non-integer rational exponent p/q.
+def _audit_exact(n: int, k: int, z: Fraction, max_collisions: int):
+    """(unique values, collision count, [(value, forms)]) for an exact exponent.
 
-    Each member's sum of t**(p/q) terms is an integer combination of the
-    radicals v**(1/q) with v q-th-power-free, and such radicals are
-    linearly independent over the rationals, so sums are equal exactly
-    when those integer coefficient vectors are. The vectors are compared
-    through random-multiplier hashes modulo 2**64; hashing can only
-    merge, never split, so a fully unique result stands on its own,
-    and candidate collisions are confirmed with a second independent
-    multiplier set before being reported.
+    Members that share a hash are candidates; they collide only when
+    their integer coefficients agree on every radical. The hash is
+    injective for integer z while k * n**z < 2**64, so there every
+    candidate group is a collision and only the reported ones are read.
     """
-    decomp = _root_decompositions(n, frac.numerator, frac.denominator)
-    table_a = _hash_table(decomp, n, frac, lane=0)
-    sums = _grow_sums(n, k, table_a) + table_a[n]
-    values, counts = np.unique(sums, return_counts=True)
-    colliding = values[counts >= 2]
-    unique_values = len(values)
-    records: tuple[CollisionRecord, ...] = ()
-    collision_count = 0
-    if len(colliding):
-        table_b = _hash_table(decomp, n, frac, lane=1)
-        clusters = _members_by_hash(n, k, table_a, {int(v) for v in colliding})
-        confirmed, split_gain = _confirm_clusters(clusters, table_b)
-        unique_values += split_gain
-        collision_count = len(confirmed)
-        z = float(frac)
-        float_table = ((np.arange(n + 1, dtype=np.float64) / n) ** z).tolist()
-        keyed = sorted(
-            (math.fsum(float_table[v] for v in group[0]), group) for group in confirmed
-        )
-        records = tuple(
-            CollisionRecord(value=value, count=len(group), members=tuple(group[:witnesses_per_value]))
-            for value, group in keyed[:max_collisions]
-        )
-    return UniquenessReport(
-        n=n,
-        k=k,
-        z=float(frac),
-        total=size,
-        unique_values=unique_values,
-        collision_count=collision_count,
-        collisions=records,
-        suspect_count=0,
-        suspects=(),
-        exact=True,
+    decomp = _root_decompositions(n, z.numerator, z.denominator)
+    table = _hash_table(decomp, n, z)
+    sums = _grow_sums(n, k, table)
+    sums += table[n]
+    hashes, counts = np.unique(sums, return_counts=True)
+    shared = hashes[counts >= 2]
+    unique_values = len(hashes)
+    if z.denominator == 1 and k * decomp[n][0] < 2**64:
+        collision_count = len(shared)
+        groups = [_forms_at(idx, n, k) for idx in _members(sums, shared[:max_collisions])]
+    else:
+        groups = []
+        for idx in _members(sums, shared):
+            split = _split_exact(_forms_at(idx, n, k), decomp)
+            unique_values += len(split) - 1
+            groups += [forms for forms in split if len(forms) >= 2]
+        collision_count = len(groups)
+
+    if z.denominator == 1:
+        def value(form):  # correctly rounded sum(t**z) / n**z
+            return sum(decomp[t][0] for t in form) / decomp[n][0]
+    else:
+        floats = ((np.arange(n + 1, dtype=np.float64) / n) ** float(z)).tolist()
+
+        def value(form):
+            return math.fsum(floats[t] for t in form)
+
+    keyed = sorted((value(g[0].tolist()), g[0].tolist(), i) for i, g in enumerate(groups))
+    return unique_values, collision_count, [(v, groups[i]) for v, _, i in keyed[:max_collisions]]
+
+
+def _audit_float(n: int, k: int, z: float, max_collisions: int):
+    """(unique values, collision count, [(value, forms)], suspect count,
+    suspects) for a float exponent under the tolerance rule."""
+    table = (np.arange(n + 1, dtype=np.float64) / n) ** z
+    sums = _grow_sums(n, k, table)
+    sums += table[n]
+    ordered = np.sort(sums)
+    gaps = np.diff(ordered)
+    new_cluster = gaps > COLLISION_RTOL * ordered[1:]
+    unique_values = int(new_cluster.sum()) + 1
+    suspect_mask = new_cluster & (gaps <= SUSPECT_RTOL * ordered[1:])
+    suspects = tuple(
+        (float(ordered[i]), float(ordered[i + 1]))
+        for i in np.flatnonzero(suspect_mask)[:max_collisions]
     )
+    starts = np.concatenate(([0], np.flatnonzero(new_cluster) + 1, [len(ordered)]))
+    bad = np.flatnonzero(np.diff(starts) >= 2)
+    groups = []
+    if len(bad):
+        # sums[order] is `ordered`, so a cluster's positions name its members
+        order = np.argsort(sums, kind="stable")
+        groups = [
+            (float(ordered[starts[i]]), _forms_at(order[starts[i] : starts[i + 1]], n, k))
+            for i in bad[:max_collisions]
+        ]
+    return unique_values, len(bad), groups, int(suspect_mask.sum()), suspects
 
 
 def _smallest_prime_factors(n: int) -> list[int]:
@@ -365,16 +334,19 @@ def _smallest_prime_factors(n: int) -> list[int]:
     return spf
 
 
-def _root_decompositions(n: int, p: int, q: int) -> list[tuple[int, int]]:
-    """For each t in 0..n, write t**(p/q) = u * v**(1/q) with v q-th-power-free.
+def _root_decompositions(n: int, p: int, q: int) -> list[tuple[int, tuple]]:
+    """For each t in 0..n, write t**(p/q) = u * v**(1/q) with v free of q-th powers.
 
-    Returns (u mod 2**64, v) pairs; u is only ever used modulo 2**64.
+    Returns exact (u, radical) pairs. The radical names v by its
+    factorisation ((prime, exponent), ...) with every exponent in
+    1..q-1, so v itself, which can be astronomically large when q is,
+    is never built. The radical of a rational term is ().
     """
-    spf = _smallest_prime_factors(n) if n >= 2 else []
-    out = [(0, 1), (1, 1)] if n >= 1 else [(0, 1)]
+    spf = _smallest_prime_factors(n)
+    out = [(0, ()), (1, ())]
     for t in range(2, n + 1):
         u = 1
-        v = 1
+        radical = []
         m = t
         while m > 1:
             prime = spf[m]
@@ -383,93 +355,51 @@ def _root_decompositions(n: int, p: int, q: int) -> list[tuple[int, int]]:
                 m //= prime
                 e += 1
             whole, rem = divmod(e * p, q)
-            u = (u * pow(prime, whole, 1 << 64)) & _HASH_MASK
-            v *= prime**rem
-        out.append((u, v))
+            u *= prime**whole
+            if rem:
+                radical.append((prime, rem))
+        out.append((u, tuple(radical)))
     return out
 
 
-def _hash_table(
-    decomp: list[tuple[int, int]], n: int, frac: Fraction, lane: int
-) -> np.ndarray:
-    """uint64 hash of each term t**(p/q): its radical coefficient u times a
-    random odd multiplier fixed per radical v. Deterministic per lane."""
-    seed = np.random.SeedSequence(
-        entropy=(_AUDIT_ENTROPY, n, frac.numerator, frac.denominator), spawn_key=(lane,)
-    )
-    rng = np.random.default_rng(seed)
-    multipliers: dict[int, int] = {}
-    table = np.zeros(n + 1, dtype=np.uint64)
-    for t in range(1, n + 1):
-        u, v = decomp[t]
-        r = multipliers.get(v)
-        if r is None:
-            r = int(rng.integers(0, 1 << 64, dtype=np.uint64)) | 1
-            multipliers[v] = r
-        table[t] = (u * r) & _HASH_MASK
+def _hash_table(decomp: list[tuple[int, tuple]], n: int, z: Fraction) -> np.ndarray:
+    """uint64 hash of each term t**z: its coefficient u times a multiplier
+    fixed per radical, modulo 2**64.
+
+    The rational radical takes multiplier 1, so for integer z the table
+    holds t**z itself. Every other radical takes a random odd multiplier
+    seeded from (n, z), so an audit hashes identically run to run.
+    """
+    rng = np.random.default_rng((_AUDIT_ENTROPY, n, z.numerator, z.denominator))
+    multipliers = {(): 1}
+    table = np.empty(n + 1, dtype=np.uint64)
+    for t, (u, radical) in enumerate(decomp):
+        if radical not in multipliers:
+            multipliers[radical] = int(rng.integers(0, 1 << 64, dtype=np.uint64)) | 1
+        table[t] = (u * multipliers[radical]) & _HASH_MASK
     return table
 
 
-def _members_by_hash(
-    n: int, k: int, table: np.ndarray, targets: set[int]
-) -> dict[int, list[tuple[int, ...]]]:
-    """All cumulative forms whose hash sum lands in ``targets``."""
-    tbl = [int(h) for h in table]
-    found: dict[int, list[tuple[int, ...]]] = {t: [] for t in targets}
-    for form in _cumulative_forms(n, k):
-        s = 0
-        for v in form:
-            s = (s + tbl[v]) & _HASH_MASK
-        bucket = found.get(s)
-        if bucket is not None:
-            bucket.append(form)
-    return found
-
-
-def _confirm_clusters(
-    clusters: dict[int, list[tuple[int, ...]]], table_b: np.ndarray
-) -> tuple[list[list[tuple[int, ...]]], int]:
-    """Split first-lane hash clusters by a second independent hash lane.
-
-    Returns the confirmed collision groups (size >= 2 in both lanes) and
-    the number of extra distinct values the second lane uncovered.
-    """
-    tbl = [int(h) for h in table_b]
-    confirmed = []
-    gain = 0
-    for forms in clusters.values():
-        sub: dict[int, list[tuple[int, ...]]] = {}
-        for form in forms:
-            s = 0
-            for v in form:
-                s = (s + tbl[v]) & _HASH_MASK
-            sub.setdefault(s, []).append(form)
-        gain += len(sub) - 1
-        for group in sub.values():
-            if len(group) >= 2:
-                confirmed.append(group)
-    return confirmed, gain
-
-
-def _member_sums_float(n: int, k: int, z: float) -> np.ndarray:
-    """sum((F_i/n)**z) for every member of A(n, k), one float64 per member.
-
-    Sums are grown one component at a time over nondecreasing prefixes,
-    grouped by last value, so each member costs one vectorized add. The
-    final component is always n and contributes exactly 1.0.
-    """
-    table = (np.arange(n + 1, dtype=np.float64) / n) ** z
-    return _grow_sums(n, k, table) + table[n]
-
-
-def _member_sums_int(n: int, k: int, z: int) -> np.ndarray:
-    """Exact integer sums sum(F_i**z) for every member of A(n, k)."""
-    table = np.arange(n + 1, dtype=np.int64) ** z
-    return _grow_sums(n, k, table) + table[n]
+def _split_exact(forms: np.ndarray, decomp: list[tuple[int, tuple]]) -> list[np.ndarray]:
+    """Split forms that share a hash into groups of exactly equal value,
+    keyed by their integer coefficient on each radical."""
+    rows: dict[frozenset, list[int]] = {}
+    for i, form in enumerate(forms.tolist()):
+        coeffs: dict[tuple, int] = {}
+        for t in form:
+            u, radical = decomp[t]
+            coeffs[radical] = coeffs.get(radical, 0) + u
+        key = frozenset((radical, c) for radical, c in coeffs.items() if c)
+        rows.setdefault(key, []).append(i)
+    return [forms[r] for r in rows.values()]
 
 
 def _grow_sums(n: int, k: int, table: np.ndarray) -> np.ndarray:
-    """Partial sums over all nondecreasing (k-1)-prefixes with values in 0..n."""
+    """Partial sums over all nondecreasing (k-1)-prefixes with values in 0..n.
+
+    Prefixes come out in colex order: (a_1, ..., a_{k-1}) sits at
+    position sum_i C(a_i + i - 1, i), which _forms_at inverts.
+    """
     cur = table.copy()
     counts = np.ones(n + 1, dtype=np.int64)  # prefixes ending at each value
     for _ in range(k - 2):
@@ -485,51 +415,41 @@ def _grow_sums(n: int, k: int, table: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _collect_witnesses_int(
-    n: int, k: int, z: int, targets: set[int], per_value: int
-) -> dict[int, list[tuple[int, ...]]]:
-    if not targets:
-        return {}
-    table = [v**z for v in range(n + 1)]
-    found: dict[int, list[tuple[int, ...]]] = {t: [] for t in targets}
-    unfilled = len(targets)
-    for form in _cumulative_forms(n, k):
-        s = 0
-        for v in form:
-            s += table[v]
-        bucket = found.get(s)
-        if bucket is not None and len(bucket) < per_value:
-            bucket.append(form)
-            if len(bucket) == per_value:
-                unfilled -= 1
-                if unfilled == 0:
-                    break
-    return found
+def _members(sums: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
+    """Positions in ``sums`` of each value of the sorted ``targets``, one
+    ascending index array per target. Every target must occur in ``sums``.
+
+    Looks ``sums`` up in fixed-size chunks so the temporaries stay small
+    next to it.
+    """
+    if not len(targets):
+        return []
+    found, which = [], []
+    for start in range(0, len(sums), _LOOKUP_CHUNK):
+        chunk = sums[start : start + _LOOKUP_CHUNK]
+        pos = np.searchsorted(targets, chunk)
+        np.minimum(pos, len(targets) - 1, out=pos)
+        hit = np.flatnonzero(targets[pos] == chunk)
+        found.append(hit + start)
+        which.append(pos[hit])
+    which = np.concatenate(which)
+    order = np.argsort(which, kind="stable")
+    return np.split(np.concatenate(found)[order], np.flatnonzero(np.diff(which[order])) + 1)
 
 
-def _collect_witnesses_float(
-    n: int, k: int, z: float, ranges: list[tuple[float, float, int]], per_value: int
-) -> dict[int, list[tuple[int, ...]]]:
-    if not ranges:
-        return {}
-    # replay the exact accumulation order used by _member_sums_float so
-    # recomputed values land bitwise inside the recorded cluster ranges
-    table = ((np.arange(n + 1, dtype=np.float64) / n) ** z).tolist()
-    los = [r[0] for r in ranges]
-    found: dict[int, list[tuple[int, ...]]] = {i: [] for i in range(len(ranges))}
-    unfilled = len(ranges)
-    for form in _cumulative_forms(n, k):
-        s = 0.0
-        for v in form:
-            s += table[v]
-        idx = bisect_right(los, s) - 1
-        if idx < 0 or s > ranges[idx][1]:
-            continue
-        bucket = found[idx]
-        if len(bucket) < per_value:
-            bucket.append(form)
-            if len(bucket) == per_value:
-                unfilled -= 1
-                if unfilled == 0:
-                    break
-    return found
+def _forms_at(indices: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Cumulative forms of the members at ``indices`` of the _grow_sums
+    order, one row each, sorted lexicographically.
+
+    Unranks in the combinatorial number system: from the last free
+    position down, a_i is the largest a with C(a + i - 1, i) <= rank.
+    """
+    rank = np.array(indices, dtype=np.int64)
+    forms = np.empty((len(rank), k), dtype=np.int64)
+    forms[:, -1] = n
+    for i in range(k - 1, 0, -1):
+        steps = np.array([math.comb(a + i - 1, i) for a in range(n + 1)], dtype=np.int64)
+        col = np.searchsorted(steps, rank, side="right") - 1
+        forms[:, i - 1] = col
+        rank -= steps[col]
+    return forms[np.lexsort(forms.T[::-1])]

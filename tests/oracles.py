@@ -6,6 +6,7 @@ programming, closed-form pmfs, plain big-integer arithmetic), so a bug
 in the library cannot hide inside its own oracle.
 """
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.optimize import linprog
@@ -60,3 +61,42 @@ def compositions(n: int, k: int):
     for first in range(n + 1):
         for rest in compositions(n - first, k - 1):
             yield (first,) + rest
+
+
+def exact_sum_classes(n: int, k: int, z) -> list[list[tuple[int, ...]]]:
+    """The cumulative forms of A(n, k), grouped by the exact value of
+    sum(F_i**z), each group in lexicographic order.
+
+    Each term t**(p/q) is split by trial division into u * v**(1/q),
+    with v free of q-th powers and named by its prime exponents. Such
+    radicals are linearly independent over the rationals (Besicovitch),
+    so the integer coefficient on each radical is the exact value.
+    """
+    z = Fraction(z)
+    p, q = z.numerator, z.denominator
+
+    def term(t):
+        u, radical, prime = 1, [], 2
+        while t > 1:
+            e = 0
+            while t % prime == 0:
+                t //= prime
+                e += 1
+            whole, rem = divmod(e * p, q)
+            u *= prime**whole
+            if rem:
+                radical.append((prime, rem))
+            prime += 1
+        return u, tuple(radical)
+
+    terms = [(0, ())] + [term(t) for t in range(1, n + 1)]
+    classes: dict[frozenset, list[tuple[int, ...]]] = {}
+    for prefix in combinations_with_replacement(range(n + 1), k - 1):
+        form = prefix + (n,)
+        coeffs: dict[tuple, int] = {}
+        for t in form:
+            u, radical = terms[t]
+            coeffs[radical] = coeffs.get(radical, 0) + u
+        key = frozenset((r, c) for r, c in coeffs.items() if c)
+        classes.setdefault(key, []).append(form)
+    return list(classes.values())

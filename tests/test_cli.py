@@ -235,6 +235,23 @@ def test_uniq_json(capsys):
     assert payload["exact"] is True and payload["suspect_count"] == 0
 
 
+def test_uniq_exact_fraction_exponent(capsys):
+    code, out, err = run(capsys, "uniq", "-n", "60", "-k", "5", "--z", "3/2",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["exact"] is True and payload["z"] == 1.5
+    assert (payload["unique_values"], payload["total"]) == (635180, 635376)
+    assert payload["collision_count"] == 196
+
+
+@pytest.mark.parametrize("z", ["3/0", "-1/2", "abc"])
+def test_uniq_rejects_bad_exponent(capsys, z):
+    code, out, err = run(capsys, "uniq", "-n", "3", "-k", "3", f"--z={z}")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "exponent" in err
+
+
 def test_uniq_respects_cap(capsys):
     code, out, err = run(capsys, "uniq", "-n", "100", "-k", "10", "--cap", "1000")
     assert code == 1 and out == "" and "cap" in err

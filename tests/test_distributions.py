@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from distshift import (
@@ -29,6 +32,16 @@ def test_frequency_distribution_derives_n_and_k():
 def test_frequency_distribution_rejects_invalid_counts(counts):
     with pytest.raises(ValidationError):
         FrequencyDistribution(counts)
+
+
+def test_frequency_distribution_accepts_numpy_integers():
+    f = FrequencyDistribution(np.array([3, 0, 2], dtype=np.int64))
+    assert f.counts == (3, 0, 2) and f.n == 5
+    assert all(type(c) is int for c in f.counts)
+    assert json.loads(json.dumps(f.counts)) == [3, 0, 2]
+    for bad in [(1, np.True_), (1, np.float64(2.0))]:
+        with pytest.raises(ValidationError):
+            FrequencyDistribution(bad)
 
 
 def test_cumulative_distribution_rejects_decreasing_totals():

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from distshift import (
     CapExceededError,
-    FeasibleSetSpec,
     ValidationError,
     audit_uniqueness,
     audit_uniqueness_default,
@@ -18,8 +19,10 @@ from distshift import (
     enumerate_members,
     sample_uniform,
 )
-from distshift.feasible import _confirm_clusters, _members_by_hash, _root_decompositions
+from distshift import feasible
+from distshift.feasible import _forms_at, _grow_sums, _root_decompositions
 
+from oracles import exact_sum_classes
 from test_shift import A33_CUMULATIVE
 
 
@@ -41,11 +44,6 @@ def test_cardinality_validates_inputs():
         cardinality(0, 3)
     with pytest.raises(ValidationError):
         cardinality(3, 1)
-
-
-def test_feasible_set_spec():
-    spec = FeasibleSetSpec.of(10, 5)
-    assert (spec.n, spec.k, spec.cardinality) == (10, 5, 1001)
 
 
 def test_enumerate_a33_listing_verbatim():
@@ -212,31 +210,80 @@ def test_audit_report_serialization():
 
 
 def test_root_decompositions_reconstruct_the_power():
-    for p, q in [(3, 2), (4, 3), (11, 10)]:
+    for p, q in [(3, 2), (4, 3), (11, 10), (5, 1)]:
         decomp = _root_decompositions(30, p, q)
+        assert decomp[:2] == [(0, ()), (1, ())]
         for t in range(1, 31):
-            u, v = decomp[t]
+            u, radical = decomp[t]
+            v = math.prod(prime**e for prime, e in radical)
             assert u**q * v == t**p
-            # v is free of q-th powers
-            for base in range(2, 7):
-                assert v % (base**q) != 0
+            # v is free of q-th powers: every prime exponent is below q
+            assert all(0 < e < q for _, e in radical)
 
 
-def test_hash_cluster_confirmation_splits_false_merges():
-    # an all-zero first lane merges every member of A(3, 3); a second
-    # lane with distinct entries must split them back apart
-    zeros = np.zeros(4, dtype=np.uint64)
-    clusters = _members_by_hash(3, 3, zeros, {0})
-    assert len(clusters[0]) == 10
-    lane_b = np.array([0, 7, 11, 13], dtype=np.uint64)
-    confirmed, gain = _confirm_clusters(clusters, lane_b)
-    assert confirmed == []
-    assert gain == 9
+def test_audit_integer_valued_float_is_exact():
+    # k * n**7 is above 2**62 here; the hash is still the exact sum
+    report = audit_uniqueness(400, 3, 7.0)
+    assert (report.unique_values, report.total) == (80601, 80601)
+    assert report.exact and report.collision_count == 0
 
-    # a second lane that still cannot tell members apart confirms them:
-    # hashing totals 1 and 2 identically leaves {18: 2, 23: 3, 31: 2}
-    collapsing = np.array([0, 5, 5, 13], dtype=np.uint64)
-    confirmed, gain = _confirm_clusters(clusters, collapsing)
-    sizes = sorted(len(group) for group in confirmed)
-    assert sizes == [2, 2, 3]
-    assert gain == 5
+
+def test_audit_fraction_with_huge_denominator():
+    # Fraction(8/7) is p / 2**51; the radicals are keyed by prime
+    # exponents, never built as integers
+    z = Fraction(8 / 7)
+    assert z.denominator == 2**51
+    report = audit_uniqueness(6, 3, z)
+    classes = exact_sum_classes(6, 3, z)
+    assert report.exact
+    assert (report.unique_values, report.total) == (len(classes), 28)
+
+
+def test_exact_confirmation_splits_false_hash_merges(monkeypatch):
+    # an all-zero hash table merges every member of A(3, 3); their exact
+    # radical coefficients must split them back apart
+    monkeypatch.setattr(
+        feasible, "_hash_table", lambda decomp, n, z: np.zeros(n + 1, dtype=np.uint64)
+    )
+    report = audit_uniqueness(3, 3, Fraction(3, 2))
+    assert (report.unique_values, report.total) == (10, 10)
+    assert report.exact and report.collision_count == 0 and report.collisions == ()
+
+
+def test_forms_at_inverts_the_grow_order():
+    for n, k in [(6, 4), (5, 3), (3, 5), (1, 2)]:
+        forms = [cumulate(f).totals for f in enumerate_members(n, k)]
+        # colex rank of the free prefix: sum over i of C(a_i + i - 1, i)
+        ranks = [sum(math.comb(a + i, i + 1) for i, a in enumerate(f[:-1])) for f in forms]
+        assert sorted(ranks) == list(range(len(forms)))
+        for form, rank in zip(forms, ranks):
+            assert _forms_at([rank], n, k).tolist() == [list(form)]
+        assert _forms_at(np.arange(len(forms)), n, k).tolist() == [list(f) for f in forms]
+        # position r of the grown sums holds the prefix of rank r; base
+        # k+1 weights make each sum name its prefix
+        weights = np.array([(k + 1) ** a for a in range(n + 1)], dtype=np.int64)
+        by_rank = dict(zip(ranks, forms))
+        expected = [sum((k + 1) ** a for a in by_rank[r][:-1]) for r in range(len(forms))]
+        assert _grow_sums(n, k, weights).tolist() == expected
+
+
+EXPONENTS = st.one_of(
+    st.integers(1, 24),  # k * n**z >= 2**64 from z=20 at n=9: the hash wraps
+    st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 9), k=st.integers(2, 5), z=EXPONENTS)
+def test_audit_matches_exact_oracle(n, k, z):
+    classes = exact_sum_classes(n, k, z)
+    shared = {forms[0]: forms for forms in classes if len(forms) >= 2}
+    report = audit_uniqueness(n, k, z)
+    assert report.exact
+    assert report.unique_values == len(classes)
+    assert report.collision_count == len(shared)
+    assert len(report.collisions) == min(len(shared), 20)
+    for rec in report.collisions:
+        forms = shared[rec.members[0]]
+        assert rec.count == len(forms)
+        assert list(rec.members) == forms[:4]
