@@ -7,11 +7,9 @@ from .distributions import (
     DistributionError,
     FrequencyDistribution,
     ParseError,
-    ProbabilityVector,
     ValidationError,
     cumulate,
     decumulate,
-    normalize,
     parse_distribution,
     parse_distributions,
 )
@@ -22,7 +20,6 @@ from .experiments import (
     UndefinedMeasureError,
     export_fork_data,
     fit_through_origin,
-    ols_fit,
     run_experiment,
     sample_poisson_distribution,
 )
@@ -48,8 +45,6 @@ from .measures import (
     rps,
 )
 from .shift import (
-    ShiftExponent,
-    ShiftMode,
     ShiftValue,
     ds,
     ds_linear,
@@ -70,10 +65,7 @@ __all__ = [
     "MEASURE_NAMES",
     "MeasureReport",
     "ParseError",
-    "ProbabilityVector",
     "RegressionSummary",
-    "ShiftExponent",
-    "ShiftMode",
     "ShiftValue",
     "UndefinedMeasureError",
     "UniquenessReport",
@@ -95,8 +87,6 @@ __all__ = [
     "histogram_non_intersection",
     "kl_divergence",
     "ks_distance",
-    "normalize",
-    "ols_fit",
     "parse_distribution",
     "parse_distributions",
     "rds",

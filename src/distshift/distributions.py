@@ -91,22 +91,6 @@ class CumulativeDistribution:
         return len(self.totals)
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Relative frequencies; entries are nonnegative and sum to 1 (tol 1e-9)."""
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        if any(p < 0.0 for p in probs):
-            raise ValidationError("probabilities must be nonnegative")
-        total = sum(probs)
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"probabilities sum to {total}, expected 1")
-
-
 def cumulate(f: FrequencyDistribution) -> CumulativeDistribution:
     """Running totals of the counts (exact integer arithmetic)."""
     return CumulativeDistribution(tuple(accumulate(f.counts)))
@@ -116,12 +100,6 @@ def decumulate(F: CumulativeDistribution) -> FrequencyDistribution:
     """Inverse of :func:`cumulate`: first differences of the totals."""
     t = F.totals
     return FrequencyDistribution((t[0],) + tuple(t[i] - t[i - 1] for i in range(1, len(t))))
-
-
-def normalize(f: FrequencyDistribution) -> ProbabilityVector:
-    """Counts divided by n."""
-    n = f.n
-    return ProbabilityVector(tuple(c / n for c in f.counts))
 
 
 def parse_distribution(text: str, format: str = "csv") -> FrequencyDistribution:

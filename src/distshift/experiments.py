@@ -1,20 +1,23 @@
 """Monte Carlo correlation experiments over random distribution pairs.
 
 Pairs are drawn either uniformly from a feasible set A(n, k) or as
-binned truncated-Poisson samples. Every pair gets the full measure
+binned truncated-Poisson samples, one multinomial draw from the Poisson
+pmf on bins 0..k-1 per member. Every pair gets the full measure
 report; the seven series (|RDS|, chi-square, non-intersection, sqrt KL,
 KS, EMD, sqrt RPS) are then fitted pairwise with least-squares lines
 through the origin.
 
 Pair i is generated from its own generator derived from (seed, i), so a
 run is reproducible for a fixed config and can be partitioned across
-workers without changing any result.
+workers without changing any result. ``STREAM_VERSION`` names the
+random stream and changes whenever a seeded run would draw differently.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -24,6 +27,9 @@ from .measures import MEASURE_NAMES, compare_all
 
 SOURCES = ("feasible_set", "poisson")
 UNDEFINED_POLICIES = ("drop", "fail")
+#: Version of the seeded random stream, written to every JSON payload.
+#: 2: Poisson members are one multinomial draw instead of rejection sampling.
+STREAM_VERSION = 2
 
 
 class UndefinedMeasureError(ValidationError):
@@ -95,29 +101,10 @@ class CorrelationTable:
 
     def to_json_dict(self) -> dict:
         matrix = {
-            x: {
-                y: {
-                    "slope": s.slope,
-                    "intercept": s.intercept,
-                    "r_squared": s.r_squared,
-                    "sample_count": s.sample_count,
-                    "dropped_count": s.dropped_count,
-                    "degenerate": s.degenerate,
-                }
-                for y in self.measure_names
-                for s in [self.summaries[(x, y)]]
-            }
+            x: {y: asdict(self.summaries[(x, y)]) for y in self.measure_names}
             for x in self.measure_names
         }
-        cfg = {
-            "source": self.config.source,
-            "n": self.config.n,
-            "k": self.config.k,
-            "num_pairs": self.config.num_pairs,
-            "seed": self.config.seed,
-            "lam": self.config.lam,
-            "undefined_policy": self.config.undefined_policy,
-        }
+        cfg = dict(asdict(self.config), stream_version=STREAM_VERSION)
         return {"config": cfg, "measure_names": list(self.measure_names), "r_squared": matrix}
 
     def r2_csv(self) -> str:
@@ -132,8 +119,9 @@ class CorrelationTable:
 def sample_poisson_distribution(lam: float, n: int, k: int, seed) -> FrequencyDistribution:
     """Bin n draws from Poisson(lam) conditioned on values below k.
 
-    Draws at or above k are rejected and redrawn, so the counts follow a
-    truncated Poisson on bins 0..k-1 and always sum to n exactly.
+    n iid draws conditioned on being below k are n iid draws from the
+    Poisson pmf restricted to 0..k-1 and renormalised, so the counts are
+    one multinomial draw from that pmf and always sum to n exactly.
     """
     if not lam > 0:
         raise ValidationError(f"lam must be positive, got {lam}")
@@ -141,21 +129,15 @@ def sample_poisson_distribution(lam: float, n: int, k: int, seed) -> FrequencyDi
         raise ValidationError(f"n must be at least 1, got {n}")
     if k < 2:
         raise ValidationError(f"k must be at least 2, got {k}")
-    rng = np.random.default_rng(seed)
-    accept = math.fsum(
-        math.exp(-lam + v * math.log(lam) - math.lgamma(v + 1)) for v in range(k)
-    )
-    if accept < 1e-12:
+    # normalised in log space: at large lam every term of the pmf underflows
+    log_pmf = np.array([v * math.log(lam) - lam - math.lgamma(v + 1) for v in range(k)])
+    top = log_pmf.max()
+    weights = np.exp(log_pmf - top)
+    total = weights.sum()
+    if top + math.log(total) < math.log(1e-12):
         raise ValidationError(f"Poisson(lam={lam}) has negligible mass below k={k}")
-    counts = np.zeros(k, dtype=np.int64)
-    need = n
-    while need > 0:
-        batch = max(32, int(need / accept * 1.2) + 1)
-        draws = rng.poisson(lam, size=batch)
-        kept = draws[draws < k][:need]
-        counts += np.bincount(kept, minlength=k)
-        need -= len(kept)
-    return FrequencyDistribution(tuple(int(c) for c in counts))
+    counts = np.random.default_rng(seed).multinomial(n, weights / total)
+    return FrequencyDistribution(tuple(counts.tolist()))
 
 
 def _pair_generator(seed: int, pair_index: int) -> np.random.Generator:
@@ -184,19 +166,23 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
     num = config.num_pairs
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
-    chunks = _chunk_ranges(num, threads)
-    if threads == 1 or len(chunks) == 1:
-        parts = [_compute_pairs(config, lo, hi) for lo, hi in chunks]
+    per = -(-num // threads)
+    los = range(0, num, per)
+    his = [min(lo + per, num) for lo in los]
+    if len(los) == 1:
+        parts = [_compute_pairs(config, 0, num)]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_compute_pairs_star, ((config, lo, hi) for lo, hi in chunks)))
-
+            parts = list(pool.map(_compute_pairs, repeat(config), los, his))
     rows = np.concatenate([p[0] for p in parts])
     signed = np.concatenate([p[1] for p in parts])
-    undefined_hits = [p[2] for p in parts if p[2] is not None]
-    if config.undefined_policy == "fail" and undefined_hits:
-        idx, f1, f2, names = min(undefined_hits, key=lambda hit: hit[0])
-        raise UndefinedMeasureError(idx, f1, f2, names)
+
+    undefined = np.isnan(rows).any(axis=1)
+    if config.undefined_policy == "fail" and undefined.any():
+        i = int(undefined.argmax())  # the first undefined pair, rebuilt from its seed
+        rng = _pair_generator(config.seed, i)
+        f1, f2 = _draw_member(config, rng), _draw_member(config, rng)
+        raise UndefinedMeasureError(i, f1.counts, f2.counts, compare_all(f1, f2).undefined_flags)
 
     series = {name: rows[:, j].copy() for j, name in enumerate(MEASURE_NAMES)}
     summaries: dict[tuple[str, str], RegressionSummary] = {}
@@ -223,63 +209,17 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
     )
 
 
-def _chunk_ranges(num: int, threads: int) -> list[tuple[int, int]]:
-    per = max(1, -(-num // max(threads, 1)))
-    bounds = list(range(0, num, per)) + [num]
-    return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-
-
 def _compute_pairs(config: ExperimentConfig, lo: int, hi: int):
+    """Measure rows (NaN where a value is undefined) and signed RDS for pairs lo..hi-1."""
     rows = np.empty((hi - lo, len(MEASURE_NAMES)), dtype=np.float64)
     signed = np.empty(hi - lo, dtype=np.float64)
-    first_undefined = None
     for i in range(lo, hi):
         rng = _pair_generator(config.seed, i)
-        f1 = _draw_member(config, rng)
-        f2 = _draw_member(config, rng)
-        report = compare_all(f1, f2)
+        report = compare_all(_draw_member(config, rng), _draw_member(config, rng))
         signed[i - lo] = report.rds
-        rows[i - lo, 0] = report.abs_rds
-        rows[i - lo, 1] = np.nan if report.chi_square is None else report.chi_square
-        rows[i - lo, 2] = report.non_intersection
-        rows[i - lo, 3] = np.nan if report.kl_sqrt is None else report.kl_sqrt
-        rows[i - lo, 4] = report.ks
-        rows[i - lo, 5] = report.emd
-        rows[i - lo, 6] = report.rps_sqrt
-        if report.undefined_flags and first_undefined is None:
-            first_undefined = (i, f1.counts, f2.counts, report.undefined_flags)
-    return rows, signed, first_undefined
-
-
-def _compute_pairs_star(args):
-    return _compute_pairs(*args)
-
-
-def ols_fit(xs, ys) -> RegressionSummary:
-    """Simple least-squares line fit; r_squared is the squared Pearson r.
-
-    Zero variance in either series yields a degenerate summary with
-    r_squared 0 instead of an error.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValidationError("series must be 1-D and of equal length")
-    if len(xs) < 2:
-        raise ValidationError(f"need at least 2 points, got {len(xs)}")
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    sxy = float(dx @ dy)
-    if sxx <= 0.0:
-        return RegressionSummary(0.0, float(ys.mean()), 0.0, len(xs), degenerate=True)
-    slope = sxy / sxx
-    intercept = float(ys.mean()) - slope * float(xs.mean())
-    if syy <= 0.0:
-        return RegressionSummary(slope, intercept, 0.0, len(xs), degenerate=True)
-    r_squared = min(sxy * sxy / (sxx * syy), 1.0)
-    return RegressionSummary(slope, intercept, r_squared, len(xs))
+        values = (report.value(name) for name in MEASURE_NAMES)
+        rows[i - lo] = [np.nan if v is None else v for v in values]
+    return rows, signed
 
 
 def fit_through_origin(xs, ys) -> RegressionSummary:

@@ -42,6 +42,9 @@ _HASH_MASK = (1 << 64) - 1
 _AUDIT_ENTROPY = 0x1BD49A56F0C3
 #: Members looked up per step when finding the members of shared hashes.
 _LOOKUP_CHUNK = 1 << 18
+#: Largest exact coefficient, in bits, an exact audit may build: the
+#: biggest, n**(p//q), has about (p // q) * log2(n) bits.
+MAX_COEFFICIENT_BITS = 1 << 16
 
 
 class CapExceededError(ValidationError):
@@ -206,8 +209,8 @@ def audit_uniqueness(
     each with its first ``witnesses_per_value`` cumulative forms in
     lexicographic order.
     """
-    if isinstance(z, Fraction):
-        exact_z = z
+    if isinstance(z, (int, Fraction)):
+        exact_z = Fraction(z)
     else:
         z = float(z)
         exact_z = Fraction(int(z)) if z.is_integer() else None
@@ -340,8 +343,14 @@ def _root_decompositions(n: int, p: int, q: int) -> list[tuple[int, tuple]]:
     Returns exact (u, radical) pairs. The radical names v by its
     factorisation ((prime, exponent), ...) with every exponent in
     1..q-1, so v itself, which can be astronomically large when q is,
-    is never built. The radical of a rational term is ().
+    is never built. The radical of a rational term is (). Exponents whose
+    largest coefficient would exceed MAX_COEFFICIENT_BITS are rejected first.
     """
+    if n > 1 and p // q > MAX_COEFFICIENT_BITS / math.log2(n):
+        raise ValidationError(
+            f"exponent {p}/{q} is too large for an exact audit at n={n}: the coefficient "
+            f"{n}**{p // q} would exceed the limit of {MAX_COEFFICIENT_BITS} bits"
+        )
     spf = _smallest_prime_factors(n)
     out = [(0, ()), (1, ())]
     for t in range(2, n + 1):

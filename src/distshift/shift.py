@@ -12,7 +12,6 @@ z = (k + 1) / k. RDS is the signed difference DS(F2) - DS(F1).
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -22,36 +21,6 @@ from .distributions import (
     ValidationError,
     cumulate,
 )
-
-
-class ShiftMode(enum.Enum):
-    LINEAR = "linear"  # z = 1
-    FIXED = "fixed"  # z supplied by the caller
-    BIN_DEPENDENT = "bin_dependent"  # z = (k + 1) / k
-
-
-@dataclass(frozen=True)
-class ShiftExponent:
-    """Exponent applied to cumulative totals before normalization."""
-
-    z: float
-    mode: ShiftMode
-
-    def __post_init__(self):
-        if not self.z > 0:
-            raise ValidationError(f"exponent must be positive, got {self.z}")
-
-    @classmethod
-    def linear(cls) -> "ShiftExponent":
-        return cls(1.0, ShiftMode.LINEAR)
-
-    @classmethod
-    def fixed(cls, z: float) -> "ShiftExponent":
-        return cls(float(z), ShiftMode.FIXED)
-
-    @classmethod
-    def bin_dependent(cls, k: int) -> "ShiftExponent":
-        return cls((k + 1) / k, ShiftMode.BIN_DEPENDENT)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,9 @@ from distshift import (
     CumulativeDistribution,
     FrequencyDistribution,
     ParseError,
-    ProbabilityVector,
     ValidationError,
     cumulate,
     decumulate,
-    normalize,
     parse_distribution,
     parse_distributions,
 )
@@ -53,14 +51,6 @@ def test_cumulative_distribution_rejects_decreasing_totals():
         CumulativeDistribution((0, 0, 0))
 
 
-def test_probability_vector_validates_sum_and_sign():
-    ProbabilityVector((0.5, 0.5))
-    with pytest.raises(ValidationError):
-        ProbabilityVector((0.5, 0.6))
-    with pytest.raises(ValidationError):
-        ProbabilityVector((-0.1, 1.1))
-
-
 @pytest.mark.parametrize(
     "counts,totals",
     [
@@ -90,21 +80,6 @@ def test_cumulate_decumulate_round_trip_exhaustive():
             assert F.totals[-1] == n
             assert all(F.totals[i] <= F.totals[i + 1] for i in range(k - 1))
             assert decumulate(F) == f
-
-
-def test_normalize_golden():
-    assert normalize(FrequencyDistribution((2, 1, 0))).probs == (2 / 3, 1 / 3, 0.0)
-    assert normalize(FrequencyDistribution((1, 1, 1))).probs == (1 / 3, 1 / 3, 1 / 3)
-    p = normalize(FrequencyDistribution((21, 2, 0, 2, 21)))
-    assert p.probs == (21 / 46, 2 / 46, 0.0, 2 / 46, 21 / 46)
-
-
-def test_normalize_preserves_argmax_and_sums_to_one():
-    for counts in compositions(6, 4):
-        f = FrequencyDistribution(counts)
-        p = normalize(f)
-        assert abs(sum(p.probs) - 1.0) <= 1e-9
-        assert p.probs.index(max(p.probs)) == counts.index(max(counts))
 
 
 def test_parse_csv_single():

@@ -5,17 +5,18 @@ import pytest
 
 from distshift import (
     ExperimentConfig,
+    FrequencyDistribution,
     MEASURE_NAMES,
     UndefinedMeasureError,
     ValidationError,
     compare_all,
     export_fork_data,
     fit_through_origin,
-    ols_fit,
     run_experiment,
     sample_poisson_distribution,
     sample_uniform,
 )
+from distshift.experiments import STREAM_VERSION
 
 from oracles import truncated_poisson_pmf
 
@@ -73,17 +74,19 @@ def test_sample_poisson_rejects_bad_arguments():
 
 
 def test_sample_poisson_matches_truncated_pmf():
-    # a million aggregated draws against the analytic conditional pmf
-    lam, k, samples, n = 5.0, 5, 10000, 100
-    rng = np.random.default_rng(314)
-    totals = np.zeros(k, dtype=np.int64)
-    for _ in range(samples):
-        totals += np.array(sample_poisson_distribution(lam, n, k, rng).counts)
-    draws = samples * n
-    empirical = totals / draws
-    expected = truncated_poisson_pmf(lam, k)
-    stderr = np.sqrt(expected * (1 - expected) / draws)
-    assert np.all(np.abs(empirical - expected) <= 3 * stderr)
+    # a million aggregated draws against the analytic conditional pmf;
+    # at lam=30 only 3.6e-9 of the Poisson mass lies below k
+    samples, n = 10000, 100
+    for lam, k in [(5.0, 5), (30.0, 5)]:
+        rng = np.random.default_rng(314)
+        totals = np.zeros(k, dtype=np.int64)
+        for _ in range(samples):
+            totals += np.array(sample_poisson_distribution(lam, n, k, rng).counts)
+        draws = samples * n
+        empirical = totals / draws
+        expected = truncated_poisson_pmf(lam, k)
+        stderr = np.sqrt(expected * (1 - expected) / draws)
+        assert np.all(np.abs(empirical - expected) <= 3 * stderr), (lam, k)
 
 
 def test_run_experiment_is_deterministic():
@@ -97,13 +100,14 @@ def test_run_experiment_is_deterministic():
 
 
 def test_run_experiment_threads_do_not_change_results():
-    config = feasible_config(num_pairs=250)
-    serial = run_experiment(config, threads=1)
-    parallel = run_experiment(config, threads=3)
-    for name in MEASURE_NAMES:
-        assert np.array_equal(serial.series[name], parallel.series[name], equal_nan=True)
-    assert np.array_equal(serial.signed_rds, parallel.signed_rds)
-    assert serial.summaries == parallel.summaries
+    for source in [{}, {"source": "poisson", "lam": 5.0}]:
+        config = feasible_config(num_pairs=250, **source)
+        serial = run_experiment(config, threads=1)
+        parallel = run_experiment(config, threads=3)
+        for name in MEASURE_NAMES:
+            assert np.array_equal(serial.series[name], parallel.series[name], equal_nan=True)
+        assert np.array_equal(serial.signed_rds, parallel.signed_rds)
+        assert serial.summaries == parallel.summaries
     with pytest.raises(ValidationError):
         run_experiment(config, threads=0)
 
@@ -141,6 +145,8 @@ def test_fail_policy_reports_first_undefined_pair():
                                        undefined_policy="fail"))
     assert info.value.pair_index == first
     assert info.value.names <= {"chi_square", "kl_sqrt"}
+    f1, f2 = FrequencyDistribution(info.value.f1), FrequencyDistribution(info.value.f2)
+    assert compare_all(f1, f2).undefined_flags == info.value.names
 
 
 def test_fail_policy_finds_same_pair_across_thread_counts():
@@ -206,31 +212,6 @@ def test_fork_export_rejects_unknown_measure():
         assert name in str(info.value)
 
 
-def test_ols_fit_golden():
-    xs = np.array([0.0, 1.0, 2.0, 3.0])
-    fit = ols_fit(xs, 2 * xs + 1)
-    assert fit.slope == pytest.approx(2.0, abs=1e-12)
-    assert fit.intercept == pytest.approx(1.0, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert not fit.degenerate
-
-    sym = ols_fit([0, 1, 2], [0, 1, 0])
-    assert sym.slope == 0.0
-    assert sym.r_squared == 0.0
-
-
-def test_ols_fit_degenerate_cases():
-    constant_y = ols_fit([0, 1, 2], [5, 5, 5])
-    assert constant_y.degenerate and constant_y.r_squared == 0.0
-    constant_x = ols_fit([3, 3, 3], [1, 2, 3])
-    assert constant_x.degenerate and constant_x.r_squared == 0.0
-    assert constant_x.intercept == 2.0
-    with pytest.raises(ValidationError):
-        ols_fit([1.0], [2.0])
-    with pytest.raises(ValidationError):
-        ols_fit([1, 2, 3], [1, 2])
-
-
 def test_fit_through_origin_golden():
     fit = fit_through_origin([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
     assert fit.slope == 2.0
@@ -260,7 +241,14 @@ def test_fit_through_origin_degenerate_cases():
 def test_table_serialization_shapes():
     table = run_experiment(feasible_config(num_pairs=50))
     payload = table.to_json_dict()
+    assert list(payload["config"]) == [
+        "source", "n", "k", "num_pairs", "seed", "lam", "undefined_policy", "stream_version"
+    ]
     assert payload["config"]["source"] == "feasible_set"
+    assert payload["config"]["stream_version"] == STREAM_VERSION
+    assert list(payload["r_squared"]["ks"]["emd"]) == [
+        "slope", "intercept", "r_squared", "sample_count", "dropped_count", "degenerate"
+    ]
     assert payload["measure_names"] == list(MEASURE_NAMES)
     assert payload["r_squared"]["emd"]["emd"]["r_squared"] == 1.0
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -237,6 +238,20 @@ def test_audit_fraction_with_huge_denominator():
     classes = exact_sum_classes(6, 3, z)
     assert report.exact
     assert (report.unique_values, report.total) == (len(classes), 28)
+
+
+def test_audit_rejects_exponents_with_huge_coefficients():
+    # 10**(10**9) would be built in full; the bit limit is checked first
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=f"limit of {feasible.MAX_COEFFICIENT_BITS} bits"):
+        audit_uniqueness(10, 3, 10**9)
+    for z in [Fraction(10**9 + 1, 2), 10**400]:
+        with pytest.raises(ValidationError, match="too large for an exact audit"):
+            audit_uniqueness(10, 3, z)
+    assert time.perf_counter() - start < 1.0
+    # the largest exact exponents in use stay inside the limit
+    for n, z in [(10, Fraction(129, 2)), (60, Fraction(64)), (400, Fraction(7))]:
+        assert len(_root_decompositions(n, z.numerator, z.denominator)) == n + 1
 
 
 def test_exact_confirmation_splits_false_hash_merges(monkeypatch):

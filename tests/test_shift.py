@@ -7,8 +7,6 @@ import pytest
 from distshift import (
     CumulativeDistribution,
     FrequencyDistribution,
-    ShiftExponent,
-    ShiftMode,
     ValidationError,
     cumulate,
     ds,
@@ -117,16 +115,6 @@ def test_ds_accepts_exponent_below_one():
     # outside the guaranteed [0, 1] band but accepted for exploration
     value = ds_with_exponent(CumulativeDistribution((1, 2, 3)), 0.5)
     assert math.isfinite(value.ds)
-
-
-def test_shift_exponent_modes():
-    assert ShiftExponent.linear().z == 1.0
-    assert ShiftExponent.linear().mode is ShiftMode.LINEAR
-    assert ShiftExponent.fixed(2.5).z == 2.5
-    assert ShiftExponent.bin_dependent(4).z == 1.25
-    assert ShiftExponent.bin_dependent(4).mode is ShiftMode.BIN_DEPENDENT
-    with pytest.raises(ValidationError):
-        ShiftExponent.fixed(0.0)
 
 
 def test_linear_consistency_with_exponent_one():
