@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -79,14 +78,19 @@ def _parse_seed(text: str) -> int:
     return value
 
 
-def _parse_exponent(text: str) -> Fraction | float:
-    """An integer or p/q is exact (a Fraction); any other number is a float."""
+def _parse_exponent(text: str) -> Fraction:
+    """The rational an integer, p/q or decimal names: "1.1" is exactly 11/10."""
     try:
-        if re.fullmatch(r"[+-]?\d+(/\d+)?", text.strip()):
-            return Fraction(text)
-        return float(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"invalid exponent {text!r}") from None
+
+
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("count must be at least 1")
+    return value
 
 
 def _default_threads() -> int:
@@ -228,14 +232,12 @@ def _cmd_uniq(args) -> int:
     if args.format == "json":
         _write_output(_dump_json(report.to_json_dict()), args.out)
     elif args.format == "csv":
-        _write_output("n,k,z,total,unique,suspects\n" + report.csv_summary() + "\n", args.out)
+        _write_output("n,k,z,total,unique\n" + report.csv_summary() + "\n", args.out)
     else:
         lines = [
             f"{report.unique_values} unique / {report.total} "
             f"(n={report.n}, k={report.k}, z={_human(report.z)})"
         ]
-        if report.suspect_count:
-            lines.append(f"suspect near-collisions: {report.suspect_count}")
         for rec in report.collisions:
             members = "; ".join("[" + ",".join(map(str, m)) + "]" for m in rec.members)
             lines.append(f"value {_human(rec.value)} shared by {rec.count}: {members}")
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw uniform random members of A(n, k)")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--count", type=int, default=1, help="number of draws")
+    p.add_argument("--count", type=_parse_count, default=1, help="number of draws (at least 1)")
     p.add_argument("--seed", type=_parse_seed, required=True, help="unsigned 64-bit seed")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sample)
@@ -418,7 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument(
-        "--z", default=None, help="exponent; an integer or p/q is exact (default: (k+1)/k)"
+        "--z",
+        default=None,
+        help="exponent z > 0 as an integer, p/q or decimal, read exactly "
+        "(1.1 is 11/10; default: (k+1)/k)",
     )
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="refuse sets larger than this")
     p.add_argument("--max-collisions", type=int, default=20, help="collision records to keep")

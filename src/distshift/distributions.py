@@ -28,6 +28,18 @@ class ValidationError(DistributionError):
     """Structurally parseable input that violates a distribution invariant."""
 
 
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    """``values`` as Python ints; anything usable as an index (numpy
+    integers too) is accepted, but no bools."""
+    values = tuple(values)
+    if all(type(v) is int for v in values):
+        return values
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not hasattr(v, "__index__"):
+            raise ValidationError(f"non-integer {what} {v!r} at bin {i}")
+    return tuple(map(operator.index, values))
+
+
 @dataclass(frozen=True)
 class FrequencyDistribution:
     """Nonnegative integer counts per ordered bin; n and k are derived."""
@@ -35,17 +47,13 @@ class FrequencyDistribution:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(self.counts)
+        counts = _int_tuple(self.counts, "count")
+        object.__setattr__(self, "counts", counts)
         if len(counts) < 2:
             raise ValidationError(f"need at least 2 bins, got {len(counts)}")
         for i, c in enumerate(counts):
-            # anything usable as an index (numpy integers too), but no bools
-            if type(c) is not int and (isinstance(c, bool) or not hasattr(c, "__index__")):
-                raise ValidationError(f"non-integer count {c!r} at bin {i}")
             if c < 0:
                 raise ValidationError(f"negative count {c} at bin {i}")
-        counts = tuple(map(operator.index, counts))
-        object.__setattr__(self, "counts", counts)
         if sum(counts) < 1:
             raise ValidationError("total observations must be at least 1")
 
@@ -65,13 +73,10 @@ class CumulativeDistribution:
     totals: tuple[int, ...]
 
     def __post_init__(self):
-        totals = tuple(self.totals)
+        totals = _int_tuple(self.totals, "total")
         object.__setattr__(self, "totals", totals)
         if len(totals) < 2:
             raise ValidationError(f"need at least 2 bins, got {len(totals)}")
-        for i, t in enumerate(totals):
-            if isinstance(t, bool) or not isinstance(t, int):
-                raise ValidationError(f"non-integer total {t!r} at bin {i}")
         if totals[0] < 0:
             raise ValidationError(f"negative total {totals[0]} at bin 0")
         for i in range(1, len(totals)):

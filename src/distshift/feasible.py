@@ -6,19 +6,16 @@ enumeration over cumulative forms, unbiased uniform sampling, and the
 uniqueness audit that checks whether the exponentiated cumulative sums
 sum((F_i/n)**z) separate every member of a feasible set.
 
-An exponent given as an integer, an integer-valued float or a Fraction
-p/q is decided exactly (an integer is the case q = 1). Each term
-t**(p/q) is u * v**(1/q) with v free of q-th powers; distinct such
-radicals are linearly independent over the rationals, so two sums are
-equal exactly when their integer coefficients agree radical by radical.
-One uint64 hash of those coefficients finds the candidate collisions.
-For integer z with k * n**z < 2**64 the hash is the exact sum and
-candidates are collisions; otherwise each candidate group is regrouped
-by its exact coefficients before anything is reported. Any other float
-exponent uses float64 sums: there, two values collide when they are
-bitwise equal or within 1e-12 relative, and near-misses within
-(1e-12, 1e-9] relative are reported separately as suspects for manual
-review.
+Every audit is exact. The exponent, an int, a float or a Fraction, is
+taken as the rational p/q it names (a finite float is exactly one; an
+integer is the case q = 1). Each term t**(p/q) is u * v**(1/q) with v
+free of q-th powers; distinct such radicals are linearly independent
+over the rationals, so two sums are equal exactly when their integer
+coefficients agree radical by radical. One uint64 hash of those
+coefficients finds the candidate collisions. For integer z with
+k * n**z < 2**64 the hash is the exact sum and candidates are
+collisions; otherwise each candidate group is regrouped by its exact
+coefficients before anything is reported.
 """
 from __future__ import annotations
 
@@ -33,9 +30,6 @@ from .distributions import FrequencyDistribution, ValidationError
 
 #: Default ceiling on feasible-set size for enumeration and audits.
 DEFAULT_CAP = 20_000_000
-
-COLLISION_RTOL = 1e-12
-SUSPECT_RTOL = 1e-9
 
 _HASH_MASK = (1 << 64) - 1
 #: Fixed entropy so exact audits hash identically run to run.
@@ -161,9 +155,6 @@ class UniquenessReport:
     unique_values: int
     collision_count: int
     collisions: tuple[CollisionRecord, ...]
-    suspect_count: int
-    suspects: tuple[tuple[float, float], ...]
-    exact: bool  # True when ties were decided exactly, False under the float tolerance rule
 
     @property
     def fully_unique(self) -> bool:
@@ -181,13 +172,10 @@ class UniquenessReport:
                 {"value": c.value, "count": c.count, "members": [list(m) for m in c.members]}
                 for c in self.collisions
             ],
-            "suspect_count": self.suspect_count,
-            "suspects": [list(pair) for pair in self.suspects],
-            "exact": self.exact,
         }
 
     def csv_summary(self) -> str:
-        return f"{self.n},{self.k},{self.z!r},{self.total},{self.unique_values},{self.suspect_count}"
+        return f"{self.n},{self.k},{self.z!r},{self.total},{self.unique_values}"
 
 
 def audit_uniqueness(
@@ -200,33 +188,31 @@ def audit_uniqueness(
     witnesses_per_value: int = 4,
 ) -> UniquenessReport:
     """Compute sum((F_i/n)**z) for every member of A(n, k) and count the
-    distinct values, reporting collisions with member witnesses.
+    distinct values exactly, reporting collisions with member witnesses.
 
-    ``z`` may be an int, a float or a ``fractions.Fraction``. Ints,
-    integer-valued floats and Fractions are audited exactly, other
-    floats in float64 with the collision/suspect tolerance rule. The
-    collision list keeps the ``max_collisions`` smallest shared values,
-    each with its first ``witnesses_per_value`` cumulative forms in
+    ``z`` may be an int, a finite float or a ``fractions.Fraction``; it
+    is audited as ``Fraction(z)``, so the float 1.1 stands for the
+    double nearest 11/10, not for 11/10 itself. The collision list keeps
+    the ``max_collisions`` smallest shared values, each with its first
+    ``witnesses_per_value`` (at least 2) cumulative forms in
     lexicographic order.
     """
-    if isinstance(z, (int, Fraction)):
-        exact_z = Fraction(z)
-    else:
+    if not isinstance(z, (int, Fraction)):
         z = float(z)
-        exact_z = Fraction(int(z)) if z.is_integer() else None
+        if not math.isfinite(z):
+            raise ValidationError(f"exponent must be finite, got {z}")
+    z = Fraction(z)
     if not z > 0:
         raise ValidationError(f"exponent must be positive, got {z}")
+    if max_collisions < 0:
+        raise ValidationError(f"max_collisions must be at least 0, got {max_collisions}")
+    if witnesses_per_value < 2:
+        raise ValidationError(f"witnesses_per_value must be at least 2, got {witnesses_per_value}")
     size = cardinality(n, k)
     if size > cap:
         raise CapExceededError(n, k, size, cap)
 
-    if exact_z is None:
-        unique_values, collision_count, groups, suspect_count, suspects = _audit_float(
-            n, k, z, max_collisions
-        )
-    else:
-        unique_values, collision_count, groups = _audit_exact(n, k, exact_z, max_collisions)
-        suspect_count, suspects = 0, ()
+    unique_values, collision_count, groups = _audit_exact(n, k, z, max_collisions)
     records = tuple(
         CollisionRecord(
             value=value,
@@ -243,24 +229,21 @@ def audit_uniqueness(
         unique_values=unique_values,
         collision_count=collision_count,
         collisions=records,
-        suspect_count=suspect_count,
-        suspects=suspects,
-        exact=exact_z is not None,
     )
 
 
 def audit_uniqueness_default(n: int, k: int, **kwargs) -> UniquenessReport:
     """Audit with the bin-dependent default exponent z = (k + 1) / k.
 
-    The exponent is passed as an exact rational, so the audit decides
-    ties in exact arithmetic rather than by float tolerance.
+    The exponent is passed as the rational (k + 1) / k itself, not as
+    the nearest float.
     """
     _validate_nk(n, k)
     return audit_uniqueness(n, k, Fraction(k + 1, k), **kwargs)
 
 
 def _audit_exact(n: int, k: int, z: Fraction, max_collisions: int):
-    """(unique values, collision count, [(value, forms)]) for an exact exponent.
+    """(unique values, collision count, [(value, forms)]) for the exponent z.
 
     Members that share a hash are candidates; they collide only when
     their integer coefficients agree on every radical. The hash is
@@ -296,34 +279,6 @@ def _audit_exact(n: int, k: int, z: Fraction, max_collisions: int):
 
     keyed = sorted((value(g[0].tolist()), g[0].tolist(), i) for i, g in enumerate(groups))
     return unique_values, collision_count, [(v, groups[i]) for v, _, i in keyed[:max_collisions]]
-
-
-def _audit_float(n: int, k: int, z: float, max_collisions: int):
-    """(unique values, collision count, [(value, forms)], suspect count,
-    suspects) for a float exponent under the tolerance rule."""
-    table = (np.arange(n + 1, dtype=np.float64) / n) ** z
-    sums = _grow_sums(n, k, table)
-    sums += table[n]
-    ordered = np.sort(sums)
-    gaps = np.diff(ordered)
-    new_cluster = gaps > COLLISION_RTOL * ordered[1:]
-    unique_values = int(new_cluster.sum()) + 1
-    suspect_mask = new_cluster & (gaps <= SUSPECT_RTOL * ordered[1:])
-    suspects = tuple(
-        (float(ordered[i]), float(ordered[i + 1]))
-        for i in np.flatnonzero(suspect_mask)[:max_collisions]
-    )
-    starts = np.concatenate(([0], np.flatnonzero(new_cluster) + 1, [len(ordered)]))
-    bad = np.flatnonzero(np.diff(starts) >= 2)
-    groups = []
-    if len(bad):
-        # sums[order] is `ordered`, so a cluster's positions name its members
-        order = np.argsort(sums, kind="stable")
-        groups = [
-            (float(ordered[starts[i]]), _forms_at(order[starts[i] : starts[i + 1]], n, k))
-            for i in bad[:max_collisions]
-        ]
-    return unique_values, len(bad), groups, int(suspect_mask.sum()), suspects
 
 
 def _smallest_prime_factors(n: int) -> list[int]:

@@ -192,6 +192,15 @@ def test_sample_requires_seed():
     assert info.value.code == 2
 
 
+def test_sample_requires_a_positive_count(capsys):
+    for count in ["0", "-2"]:
+        with pytest.raises(SystemExit) as info:
+            main(["sample", "-n", "10", "-k", "3", "--count", count, "--seed", "1"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "count must be at least 1" in captured.err
+
+
 def test_sample_determinism_and_validity(capsys):
     code, first, _ = run(capsys, "sample", "-n", "10", "-k", "3", "--count", "5",
                          "--seed", "99")
@@ -218,7 +227,7 @@ def test_uniq_text_report(capsys):
 def test_uniq_csv_default_exponent(capsys):
     code, out, _ = run(capsys, "uniq", "-n", "3", "-k", "3", "--format", "csv")
     assert code == 0
-    assert out == "n,k,z,total,unique,suspects\n3,3,1.3333333333333333,10,10,0\n"
+    assert out == "n,k,z,total,unique\n3,3,1.3333333333333333,10,10\n"
 
 
 def test_uniq_json(capsys):
@@ -226,13 +235,12 @@ def test_uniq_json(capsys):
                        "--format", "json")
     payload = json.loads(out)
     assert payload["total"] == 10 and payload["unique_values"] == 7
-    assert payload["collision_count"] == 3 and payload["exact"] is True
+    assert payload["collision_count"] == 3
     assert payload["collisions"][0]["members"] == [[0, 2, 3], [1, 1, 3]]
 
     code, out, _ = run(capsys, "uniq", "-n", "10", "-k", "5", "--format", "json")
     payload = json.loads(out)
     assert payload["unique_values"] == payload["total"] == 1001
-    assert payload["exact"] is True and payload["suspect_count"] == 0
 
 
 def test_uniq_exact_fraction_exponent(capsys):
@@ -240,16 +248,34 @@ def test_uniq_exact_fraction_exponent(capsys):
                          "--format", "json")
     assert code == 0 and err == ""
     payload = json.loads(out)
-    assert payload["exact"] is True and payload["z"] == 1.5
+    assert payload["z"] == 1.5
     assert (payload["unique_values"], payload["total"]) == (635180, 635376)
     assert payload["collision_count"] == 196
 
 
-@pytest.mark.parametrize("z", ["3/0", "-1/2", "abc"])
+def test_uniq_decimal_exponent_is_exact(capsys):
+    decimal = run(capsys, "uniq", "-n", "12", "-k", "4", "--z", "1.1", "--format", "json")
+    ratio = run(capsys, "uniq", "-n", "12", "-k", "4", "--z", "11/10", "--format", "json")
+    assert decimal == ratio and decimal[0] == 0
+    assert json.loads(decimal[1])["z"] == 1.1
+    # a decimal is not rounded to the nearest double: 2 + 1e-19 is not 2,
+    # and it separates every member of A(5, 4), where z = 2 leaves 45 values
+    code, out, _ = run(capsys, "uniq", "-n", "5", "-k", "4", "--z", "2.0000000000000000001",
+                       "--format", "csv")
+    assert code == 0 and out == "n,k,z,total,unique\n5,4,2.0,56,56\n"
+
+
+@pytest.mark.parametrize("z", ["3/0", "-1/2", "abc", "inf", "nan"])
 def test_uniq_rejects_bad_exponent(capsys, z):
     code, out, err = run(capsys, "uniq", "-n", "3", "-k", "3", f"--z={z}")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "exponent" in err
+
+
+def test_uniq_rejects_negative_max_collisions(capsys):
+    code, out, err = run(capsys, "uniq", "-n", "3", "-k", "3", "--max-collisions", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "max_collisions" in err
 
 
 def test_uniq_respects_cap(capsys):

@@ -42,6 +42,15 @@ def test_frequency_distribution_accepts_numpy_integers():
             FrequencyDistribution(bad)
 
 
+def test_cumulative_distribution_accepts_numpy_integers():
+    F = CumulativeDistribution((np.int64(1), np.int32(3)))
+    assert F.totals == (1, 3) and F.n == 3
+    assert all(type(t) is int for t in F.totals)
+    for bad in [(1, np.True_), (1, True), (1, np.float64(3.0)), (1, 3.0)]:
+        with pytest.raises(ValidationError, match="non-integer total"):
+            CumulativeDistribution(bad)
+
+
 def test_cumulative_distribution_rejects_decreasing_totals():
     with pytest.raises(ValidationError):
         CumulativeDistribution((2, 1, 3))

@@ -113,7 +113,6 @@ def test_sample_uniform_goodness_of_fit_a_10_3():
 def test_audit_a33_z1_golden():
     report = audit_uniqueness(3, 3, 1)
     assert (report.unique_values, report.total) == (7, 10)
-    assert report.exact
     assert report.collision_count == 3
     witnesses = {rec.members for rec in report.collisions}
     assert ((0, 2, 3), (1, 1, 3)) in witnesses
@@ -133,7 +132,6 @@ def test_audit_10_5_exponent_sweep():
     for z in range(1, 7):
         report = audit_uniqueness(10, 5, z)
         assert report.unique_values < 1001, f"z={z} unexpectedly unique"
-        assert report.exact
     report = audit_uniqueness(10, 5, 7)
     assert report.unique_values == report.total == 1001
     assert report.fully_unique
@@ -154,30 +152,24 @@ def test_audit_default_golden():
         report = audit_uniqueness_default(n, k)
         assert report.total == size == cardinality(n, k)
         assert report.fully_unique
-        assert report.exact
-        assert report.suspect_count == 0
         assert report.z == (k + 1) / k
 
 
 def test_audit_default_matches_explicit_fraction():
     a = audit_uniqueness_default(12, 6)
     b = audit_uniqueness(12, 6, Fraction(7, 6))
-    assert (a.unique_values, a.total, a.exact) == (b.unique_values, b.total, b.exact)
+    assert a == b
 
 
-def test_audit_float_tier_reports_suspects():
-    # explicit float exponents use the float64 tolerance rule; at this
-    # size near-misses inside (1e-12, 1e-9] exist but true ties do not
+def test_audit_float_is_its_exact_rational():
+    # a float exponent is audited as the rational it is: 8/7 as a float
+    # is p / 2**51, and its report is that of Fraction(8/7)
     report = audit_uniqueness(22, 7, 8 / 7)
-    assert not report.exact
-    assert report.fully_unique
-    assert report.collision_count == 0
-    assert report.suspect_count == 80
-    lo, hi = report.suspects[0]
-    assert 1e-12 < (hi - lo) / hi <= 1e-9
-    exact = audit_uniqueness(22, 7, Fraction(8, 7))
-    assert exact.unique_values == report.unique_values
-    assert exact.exact and exact.suspect_count == 0
+    assert report == audit_uniqueness(22, 7, Fraction(8 / 7))
+    assert report.fully_unique and report.collision_count == 0
+    assert report.total == cardinality(22, 7)
+    # the float 1.25 is exactly 5/4, which separates all of A(60, 5)
+    assert audit_uniqueness(60, 5, 1.25).unique_values == 635376
 
 
 def test_audit_rejects_bad_exponents_and_oversize():
@@ -185,6 +177,9 @@ def test_audit_rejects_bad_exponents_and_oversize():
         audit_uniqueness(3, 3, 0)
     with pytest.raises(ValidationError):
         audit_uniqueness(3, 3, Fraction(-1, 2))
+    for z in [float("inf"), float("-inf"), float("nan"), np.float64("inf")]:
+        with pytest.raises(ValidationError):
+            audit_uniqueness(10, 3, z)
     with pytest.raises(CapExceededError):
         audit_uniqueness(100, 5, 2, cap=100000)
 
@@ -195,6 +190,10 @@ def test_audit_truncation_knobs():
     assert len(report.collisions) == 3
     assert all(len(rec.members) <= 2 for rec in report.collisions)
     assert all(rec.count >= 2 for rec in report.collisions)
+    assert audit_uniqueness(10, 5, 1, max_collisions=0).collisions == ()
+    for bad in [{"max_collisions": -1}, {"witnesses_per_value": 1}, {"witnesses_per_value": 0}]:
+        with pytest.raises(ValidationError):
+            audit_uniqueness(10, 5, 1, **bad)
 
 
 def test_audit_report_serialization():
@@ -204,10 +203,13 @@ def test_audit_report_serialization():
     assert payload["n"] == 3 and payload["total"] == 10
     assert payload["unique_values"] == 7
     assert payload["collisions"][0]["members"] == [[0, 2, 3], [1, 1, 3]]
-    assert report.csv_summary() == "3,3,1.0,10,7,0"
+    assert list(payload) == [
+        "n", "k", "z", "total", "unique_values", "collision_count", "collisions"
+    ]
+    assert report.csv_summary() == "3,3,1.0,10,7"
 
     default = audit_uniqueness_default(10, 5)
-    assert default.csv_summary() == "10,5,1.2,1001,1001,0"
+    assert default.csv_summary() == "10,5,1.2,1001,1001"
 
 
 def test_root_decompositions_reconstruct_the_power():
@@ -226,7 +228,7 @@ def test_audit_integer_valued_float_is_exact():
     # k * n**7 is above 2**62 here; the hash is still the exact sum
     report = audit_uniqueness(400, 3, 7.0)
     assert (report.unique_values, report.total) == (80601, 80601)
-    assert report.exact and report.collision_count == 0
+    assert report.collision_count == 0
 
 
 def test_audit_fraction_with_huge_denominator():
@@ -236,7 +238,6 @@ def test_audit_fraction_with_huge_denominator():
     assert z.denominator == 2**51
     report = audit_uniqueness(6, 3, z)
     classes = exact_sum_classes(6, 3, z)
-    assert report.exact
     assert (report.unique_values, report.total) == (len(classes), 28)
 
 
@@ -262,7 +263,7 @@ def test_exact_confirmation_splits_false_hash_merges(monkeypatch):
     )
     report = audit_uniqueness(3, 3, Fraction(3, 2))
     assert (report.unique_values, report.total) == (10, 10)
-    assert report.exact and report.collision_count == 0 and report.collisions == ()
+    assert report.collision_count == 0 and report.collisions == ()
 
 
 def test_forms_at_inverts_the_grow_order():
@@ -285,6 +286,8 @@ def test_forms_at_inverts_the_grow_order():
 EXPONENTS = st.one_of(
     st.integers(1, 24),  # k * n**z >= 2**64 from z=20 at n=9: the hash wraps
     st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)),
+    st.builds(lambda p, e: p / 2**e, st.integers(1, 48), st.integers(0, 4)),  # dyadic floats
+    st.floats(0.5, 3),  # p / 2**52 or so: every term has its own radical
 )
 
 
@@ -294,7 +297,6 @@ def test_audit_matches_exact_oracle(n, k, z):
     classes = exact_sum_classes(n, k, z)
     shared = {forms[0]: forms for forms in classes if len(forms) >= 2}
     report = audit_uniqueness(n, k, z)
-    assert report.exact
     assert report.unique_values == len(classes)
     assert report.collision_count == len(shared)
     assert len(report.collisions) == min(len(shared), 20)
