@@ -10,7 +10,6 @@ from .distributions import (
     ValidationError,
     cumulate,
     decumulate,
-    parse_distribution,
     parse_distributions,
 )
 from .experiments import (
@@ -87,7 +86,6 @@ __all__ = [
     "histogram_non_intersection",
     "kl_divergence",
     "ks_distance",
-    "parse_distribution",
     "parse_distributions",
     "rds",
     "rps",

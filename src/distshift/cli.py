@@ -5,14 +5,14 @@ report (compare), feasible-set tools (card, enum, sample, uniq), and the
 correlation experiments (experiment, fork). Data goes to stdout or the
 selected output file; diagnostics go to stderr; the exit code is 0 only
 when no error was emitted. Machine formats render numbers with 12
-significant digits, human text with 4.
+significant digits, human text with 4. An exponent (ds --z, uniq --z) is
+read exactly as the rational an integer, p/q or decimal names; uniq
+reports it in that form ("3/2").
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -93,14 +93,6 @@ def _parse_count(text: str) -> int:
     return value
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("DISTSHIFT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _load_single(inline: str | None, path: str | None, fmt: str, label: str) -> FrequencyDistribution:
     if (inline is None) == (path is None):
         raise DistributionError(f"provide exactly one of an inline value or a file for {label}")
@@ -129,7 +121,7 @@ def _cmd_ds(args) -> int:
     if args.linear:
         value = ds_linear(F)
     elif args.z is not None:
-        value = ds_with_exponent(F, args.z)
+        value = ds_with_exponent(F, _parse_exponent(args.z))
     else:
         value = ds(F)
     if args.format == "json":
@@ -148,23 +140,18 @@ def _cmd_ds(args) -> int:
 def _cmd_rds(args) -> int:
     f1 = _load_single(args.a, args.a_file, args.input_format, "--a")
     f2 = _load_single(args.b, args.b_file, args.input_format, "--b")
-    value = rds(cumulate(f1), cumulate(f2), allow_unequal_k=args.allow_unequal_k)
-    unvalidated = args.allow_unequal_k and f1.k != f2.k
+    value = rds(cumulate(f1), cumulate(f2))
     if args.format == "json":
-        payload = {"rds": value, "k1": f1.k, "k2": f2.k}
-        if unvalidated:
-            payload["unvalidated_unequal_k"] = True
-        _write_output(_dump_json(payload), args.out)
+        _write_output(_dump_json({"rds": value, "k1": f1.k, "k2": f2.k}), args.out)
     else:
-        note = "  [unvalidated: unequal k]" if unvalidated else ""
-        _write_output(f"rds = {_human(value)}{note}\n", args.out)
+        _write_output(f"rds = {_human(value)}\n", args.out)
     return 0
 
 
 def _cmd_compare(args) -> int:
     f1 = _load_single(args.a, args.a_file, args.input_format, "--a")
     f2 = _load_single(args.b, args.b_file, args.input_format, "--b")
-    report = compare_all(f1, f2, lenient_chi_square=args.lenient_chi_square)
+    report = compare_all(f1, f2)
     fields = ["rds"] + list(MEASURE_NAMES)
     values = {name: getattr(report, name) for name in fields}
     if args.format == "json":
@@ -236,7 +223,7 @@ def _cmd_uniq(args) -> int:
     else:
         lines = [
             f"{report.unique_values} unique / {report.total} "
-            f"(n={report.n}, k={report.k}, z={_human(report.z)})"
+            f"(n={report.n}, k={report.k}, z={report.z})"
         ]
         for rec in report.collisions:
             members = "; ".join("[" + ",".join(map(str, m)) + "]" for m in rec.members)
@@ -274,49 +261,7 @@ def _cmd_fork(args) -> int:
         cell = "undefined" if value is None else _machine(value)
         lines.append(f"{cell},{_machine(signed)}")
     _write_output("\n".join(lines) + "\n", args.out)
-    if args.svg is not None:
-        points = [(v, r) for v, r in rows if v is not None]
-        Path(args.svg).write_text(_scatter_svg(points, args.measure, "rds"), encoding="utf-8")
     return 0
-
-
-def _scatter_svg(points: list[tuple[float, float]], xlabel: str, ylabel: str) -> str:
-    """Minimal scatter plot: one circle per point, linear axes, labels."""
-    width, height, margin = 640, 480, 60
-    xs = [p[0] for p in points] or [0.0]
-    ys = [p[1] for p in points] or [0.0]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
-    if xmax == xmin:
-        xmax = xmin + 1.0
-    if ymax == ymin:
-        ymax = ymin + 1.0
-
-    def sx(x: float) -> float:
-        return margin + (x - xmin) / (xmax - xmin) * (width - 2 * margin)
-
-    def sy(y: float) -> float:
-        return height - margin - (y - ymin) / (ymax - ymin) * (height - 2 * margin)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
-        f'stroke="black"/>',
-        f'<text x="{width // 2}" y="{height - 15}" text-anchor="middle">{xlabel}</text>',
-        f'<text x="15" y="{height // 2}" text-anchor="middle" '
-        f'transform="rotate(-90 15 {height // 2})">{ylabel}</text>',
-        f'<text x="{margin}" y="{height - margin + 20}" text-anchor="middle">{_human(xmin)}</text>',
-        f'<text x="{width - margin}" y="{height - margin + 20}" '
-        f'text-anchor="middle">{_human(xmax)}</text>',
-        f'<text x="{margin - 10}" y="{height - margin}" text-anchor="end">{_human(ymin)}</text>',
-        f'<text x="{margin - 10}" y="{margin}" text-anchor="end">{_human(ymax)}</text>',
-    ]
-    for x, y in points:
-        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2" fill="steelblue"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 def _add_output_options(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
@@ -344,12 +289,7 @@ def _add_experiment_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--undefined-policy", dest="undefined_policy", choices=("drop", "fail"), default="drop"
     )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="worker processes (default: $DISTSHIFT_THREADS or 1)",
-    )
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group = p.add_mutually_exclusive_group()
     group.add_argument("--linear", action="store_true", help="use z = 1")
-    group.add_argument("--z", type=float, default=None, help="explicit exponent z > 0")
+    group.add_argument(
+        "--z", default=None, help="exponent z > 0 as an integer, p/q or decimal (1.5 or 3/2)"
+    )
     p.add_argument("--expect-n", type=int, default=None, help="cross-check parsed n")
     p.add_argument("--expect-k", type=int, default=None, help="cross-check parsed k")
     _add_output_options(p)
@@ -376,21 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rds", help="relative shift of two distributions")
     _add_pair_inputs(p)
-    p.add_argument(
-        "--allow-unequal-k",
-        action="store_true",
-        help="permit different bin counts (unvalidated comparison)",
-    )
     _add_output_options(p)
     p.set_defaults(func=_cmd_rds)
 
     p = sub.add_parser("compare", help="all pairwise measures for two distributions")
     _add_pair_inputs(p)
-    p.add_argument(
-        "--lenient-chi-square",
-        action="store_true",
-        help="treat both-zero bins as 0 terms in chi-square instead of undefined",
-    )
     _add_output_options(p, formats=("text", "json", "csv"))
     p.set_defaults(func=_cmd_compare)
 
@@ -439,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fork", help="export (measure, signed rds) scatter data")
     _add_experiment_options(p)
     p.add_argument("--measure", required=True, help=f"one of {', '.join(MEASURE_NAMES)}")
-    p.add_argument("--svg", default=None, help="also write a minimal scatter SVG here")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p.set_defaults(func=_cmd_fork)
 

@@ -107,22 +107,6 @@ def decumulate(F: CumulativeDistribution) -> FrequencyDistribution:
     return FrequencyDistribution((t[0],) + tuple(t[i] - t[i - 1] for i in range(1, len(t))))
 
 
-def parse_distribution(text: str, format: str = "csv") -> FrequencyDistribution:
-    """Parse one distribution from text.
-
-    CSV is comma-separated nonnegative integers in bin order; JSON is a flat
-    array of nonnegative integers. n and k are derived from the parsed counts.
-    """
-    if not text.strip():
-        raise ParseError("empty input")
-    if format == "csv":
-        return _parse_csv_line(text)
-    if format == "json":
-        value = _load_json(text)
-        return _counts_from_json(value)
-    raise ValueError(f"unknown format {format!r}, expected 'csv' or 'json'")
-
-
 def parse_distributions(text: str, format: str = "csv") -> list[FrequencyDistribution]:
     """Parse one or more distributions.
 

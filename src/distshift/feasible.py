@@ -150,7 +150,7 @@ class UniquenessReport:
 
     n: int
     k: int
-    z: float
+    z: Fraction  # the exponent audited, exactly
     total: int
     unique_values: int
     collision_count: int
@@ -164,7 +164,7 @@ class UniquenessReport:
         return {
             "n": self.n,
             "k": self.k,
-            "z": self.z,
+            "z": str(self.z),
             "total": self.total,
             "unique_values": self.unique_values,
             "collision_count": self.collision_count,
@@ -175,7 +175,7 @@ class UniquenessReport:
         }
 
     def csv_summary(self) -> str:
-        return f"{self.n},{self.k},{self.z!r},{self.total},{self.unique_values}"
+        return f"{self.n},{self.k},{self.z},{self.total},{self.unique_values}"
 
 
 def audit_uniqueness(
@@ -192,10 +192,10 @@ def audit_uniqueness(
 
     ``z`` may be an int, a finite float or a ``fractions.Fraction``; it
     is audited as ``Fraction(z)``, so the float 1.1 stands for the
-    double nearest 11/10, not for 11/10 itself. The collision list keeps
-    the ``max_collisions`` smallest shared values, each with its first
-    ``witnesses_per_value`` (at least 2) cumulative forms in
-    lexicographic order.
+    double nearest 11/10, not for 11/10 itself, and the report's ``z`` is
+    that ``Fraction``. The collision list keeps the ``max_collisions``
+    smallest shared values, each with its first ``witnesses_per_value``
+    (at least 2) cumulative forms in lexicographic order.
     """
     if not isinstance(z, (int, Fraction)):
         z = float(z)
@@ -224,7 +224,7 @@ def audit_uniqueness(
     return UniquenessReport(
         n=n,
         k=k,
-        z=float(z),
+        z=z,
         total=size,
         unique_values=unique_values,
         collision_count=collision_count,
@@ -257,13 +257,14 @@ def _audit_exact(n: int, k: int, z: Fraction, max_collisions: int):
     hashes, counts = np.unique(sums, return_counts=True)
     shared = hashes[counts >= 2]
     unique_values = len(hashes)
+    steps = _unrank_steps(n, k)
     if z.denominator == 1 and k * decomp[n][0] < 2**64:
         collision_count = len(shared)
-        groups = [_forms_at(idx, n, k) for idx in _members(sums, shared[:max_collisions])]
+        groups = [_forms_at(idx, n, steps) for idx in _members(sums, shared[:max_collisions])]
     else:
         groups = []
         for idx in _members(sums, shared):
-            split = _split_exact(_forms_at(idx, n, k), decomp)
+            split = _split_exact(_forms_at(idx, n, steps), decomp)
             unique_values += len(split) - 1
             groups += [forms for forms in split if len(forms) >= 2]
         collision_count = len(groups)
@@ -401,19 +402,28 @@ def _members(sums: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
     return np.split(np.concatenate(found)[order], np.flatnonzero(np.diff(which[order])) + 1)
 
 
-def _forms_at(indices: np.ndarray, n: int, k: int) -> np.ndarray:
+def _unrank_steps(n: int, k: int) -> np.ndarray:
+    """steps[i - 1, a] = C(a + i - 1, i), the rank that a_i = a adds in
+    the _grow_sums order, for i in 1..k-1 and a in 0..n."""
+    return np.array(
+        [[math.comb(a + i - 1, i) for a in range(n + 1)] for i in range(1, k)], dtype=np.int64
+    )
+
+
+def _forms_at(indices: np.ndarray, n: int, steps: np.ndarray) -> np.ndarray:
     """Cumulative forms of the members at ``indices`` of the _grow_sums
     order, one row each, sorted lexicographically.
 
     Unranks in the combinatorial number system: from the last free
-    position down, a_i is the largest a with C(a + i - 1, i) <= rank.
+    position down, a_i is the largest a with C(a + i - 1, i) <= rank,
+    read from ``steps`` (see _unrank_steps).
     """
+    k = len(steps) + 1
     rank = np.array(indices, dtype=np.int64)
     forms = np.empty((len(rank), k), dtype=np.int64)
     forms[:, -1] = n
     for i in range(k - 1, 0, -1):
-        steps = np.array([math.comb(a + i - 1, i) for a in range(n + 1)], dtype=np.int64)
-        col = np.searchsorted(steps, rank, side="right") - 1
+        col = np.searchsorted(steps[i - 1], rank, side="right") - 1
         forms[:, i - 1] = col
-        rank -= steps[col]
+        rank -= steps[i - 1, col]
     return forms[np.lexsort(forms.T[::-1])]

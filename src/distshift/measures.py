@@ -26,22 +26,15 @@ def _require_equal_k(a, b) -> None:
         raise ValidationError(f"bin counts differ (k={a.k} vs k={b.k})")
 
 
-def chi_square_distance(
-    f1: FrequencyDistribution, f2: FrequencyDistribution, *, lenient: bool = False
-) -> float | None:
-    """One half the sum of (p1-p2)^2/(p1+p2) over bins.
-
-    Strict mode (default) returns None when any bin has f1_i = f2_i = 0;
-    lenient mode treats those 0/0 terms as 0 instead.
-    """
+def chi_square_distance(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float | None:
+    """One half the sum of (p1-p2)^2/(p1+p2) over bins; None when any bin
+    has f1_i = f2_i = 0."""
     _require_equal_k(f1, f2)
     n1, n2 = f1.n, f2.n
     terms = []
     for a, b in zip(f1.counts, f2.counts):
         if a == 0 and b == 0:
-            if not lenient:
-                return None
-            continue
+            return None
         p, q = a / n1, b / n2
         terms.append((p - q) ** 2 / (p + q))
     return 0.5 * math.fsum(terms)
@@ -139,17 +132,12 @@ class MeasureReport:
         return getattr(self, name)
 
 
-def compare_all(
-    f1: FrequencyDistribution,
-    f2: FrequencyDistribution,
-    *,
-    lenient_chi_square: bool = False,
-) -> MeasureReport:
+def compare_all(f1: FrequencyDistribution, f2: FrequencyDistribution) -> MeasureReport:
     """Compute RDS and all six comparison measures for one pair."""
     _require_equal_k(f1, f2)
     F1, F2 = cumulate(f1), cumulate(f2)
     rds_value = _rds(F1, F2)
-    chi = chi_square_distance(f1, f2, lenient=lenient_chi_square)
+    chi = chi_square_distance(f1, f2)
     kl = kl_divergence(f1, f2)
     flags = set()
     if chi is None:

@@ -54,17 +54,20 @@ def ds_linear(dist: Distribution) -> ShiftValue:
     return ShiftValue(ds=value, z_used=1.0, n=n, k=k)
 
 
-def ds_with_exponent(dist: Distribution, z: float) -> ShiftValue:
-    """Shift with an explicit exponent z > 0.
+def ds_with_exponent(dist: Distribution, z) -> ShiftValue:
+    """Shift with an explicit exponent z > 0, given as any real that fits a float.
 
     The sum is accumulated as sum((F_i/n)**z) with compensated summation,
     which avoids overflow at large n and keeps the result exactly rounded.
     The [0, 1] range is guaranteed for z >= 1; values of z in (0, 1) are
     accepted for experimentation.
     """
-    z = float(z)
-    if not z > 0:
-        raise ValidationError(f"exponent must be positive, got {z}")
+    try:
+        z = float(z)
+    except OverflowError:
+        raise ValidationError("exponent does not fit a float") from None
+    if not 0 < z < math.inf:
+        raise ValidationError(f"exponent must be positive and finite, got {z}")
     F = _as_cumulative(dist)
     n, k = F.n, F.k
     total = math.fsum((t / n) ** z for t in F.totals)
@@ -77,19 +80,14 @@ def ds(dist: Distribution) -> ShiftValue:
     return ds_with_exponent(F, (F.k + 1) / F.k)
 
 
-def rds(dist1: Distribution, dist2: Distribution, *, allow_unequal_k: bool = False) -> float:
+def rds(dist1: Distribution, dist2: Distribution) -> float:
     """Relative shift DS(F2) - DS(F1), each side using the default exponent.
 
     Positive values mean the first distribution is shifted right of the
-    second. The two distributions may have different n. Unequal k is
-    rejected unless ``allow_unequal_k`` is set; that comparison is exposed
-    for exploration but is not validated.
+    second. The two distributions may have different n but must share k.
     """
     F1 = _as_cumulative(dist1)
     F2 = _as_cumulative(dist2)
-    if F1.k != F2.k and not allow_unequal_k:
-        raise ValidationError(
-            f"bin counts differ (k={F1.k} vs k={F2.k}); "
-            "pass allow_unequal_k=True to compare anyway"
-        )
+    if F1.k != F2.k:
+        raise ValidationError(f"bin counts differ (k={F1.k} vs k={F2.k})")
     return ds(F2).ds - ds(F1).ds

@@ -10,7 +10,6 @@ from distshift import (
     ValidationError,
     cumulate,
     decumulate,
-    parse_distribution,
     parse_distributions,
 )
 
@@ -92,43 +91,43 @@ def test_cumulate_decumulate_round_trip_exhaustive():
 
 
 def test_parse_csv_single():
-    f = parse_distribution("2,1,0", "csv")
+    [f] = parse_distributions("2,1,0", "csv")
     assert f.counts == (2, 1, 0)
     assert (f.n, f.k) == (3, 3)
 
 
 def test_parse_json_single():
-    f = parse_distribution("[10,0,0]", "json")
+    [f] = parse_distributions("[10,0,0]", "json")
     assert f.counts == (10, 0, 0)
 
 
 def test_parse_rejects_negative_and_non_integer():
     with pytest.raises(ValidationError, match="negative"):
-        parse_distribution("2,-1,0", "csv")
+        parse_distributions("2,-1,0", "csv")
     with pytest.raises(ValidationError, match="non-integer"):
-        parse_distribution("1,2.5,0", "csv")
+        parse_distributions("1,2.5,0", "csv")
     with pytest.raises(ValidationError):
-        parse_distribution("[1, 2.5, 0]", "json")
+        parse_distributions("[1, 2.5, 0]", "json")
 
 
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as info:
-        parse_distribution("1,,3", "csv")
+        parse_distributions("1,,3", "csv")
     assert info.value.position == 2
     with pytest.raises(ParseError):
-        parse_distribution("1,x,3", "csv")
+        parse_distributions("1,x,3", "csv")
 
 
 def test_parse_empty_input():
     with pytest.raises(ParseError):
-        parse_distribution("", "csv")
+        parse_distributions("", "csv")
     with pytest.raises(ParseError):
         parse_distributions("\n  \n", "csv")
 
 
 def test_parse_unknown_format():
     with pytest.raises(ValueError, match="unknown format"):
-        parse_distribution("1,2", "xml")
+        parse_distributions("1,2", "xml")
 
 
 def test_parse_distributions_multi_line_csv():
@@ -151,4 +150,4 @@ def test_parse_distributions_rejects_malformed_json():
     with pytest.raises(ParseError):
         parse_distributions("[1, 2,", "json")
     with pytest.raises(ParseError):
-        parse_distribution('"text"', "json")
+        parse_distributions('"text"', "json")

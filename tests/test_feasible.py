@@ -21,7 +21,7 @@ from distshift import (
     sample_uniform,
 )
 from distshift import feasible
-from distshift.feasible import _forms_at, _grow_sums, _root_decompositions
+from distshift.feasible import _forms_at, _grow_sums, _root_decompositions, _unrank_steps
 
 from oracles import exact_sum_classes
 from test_shift import A33_CUMULATIVE
@@ -152,7 +152,7 @@ def test_audit_default_golden():
         report = audit_uniqueness_default(n, k)
         assert report.total == size == cardinality(n, k)
         assert report.fully_unique
-        assert report.z == (k + 1) / k
+        assert report.z == Fraction(k + 1, k)
 
 
 def test_audit_default_matches_explicit_fraction():
@@ -206,10 +206,11 @@ def test_audit_report_serialization():
     assert list(payload) == [
         "n", "k", "z", "total", "unique_values", "collision_count", "collisions"
     ]
-    assert report.csv_summary() == "3,3,1.0,10,7"
+    assert payload["z"] == "1"
+    assert report.csv_summary() == "3,3,1,10,7"
 
     default = audit_uniqueness_default(10, 5)
-    assert default.csv_summary() == "10,5,1.2,1001,1001"
+    assert default.csv_summary() == "10,5,6/5,1001,1001"
 
 
 def test_root_decompositions_reconstruct_the_power():
@@ -272,9 +273,10 @@ def test_forms_at_inverts_the_grow_order():
         # colex rank of the free prefix: sum over i of C(a_i + i - 1, i)
         ranks = [sum(math.comb(a + i, i + 1) for i, a in enumerate(f[:-1])) for f in forms]
         assert sorted(ranks) == list(range(len(forms)))
+        steps = _unrank_steps(n, k)
         for form, rank in zip(forms, ranks):
-            assert _forms_at([rank], n, k).tolist() == [list(form)]
-        assert _forms_at(np.arange(len(forms)), n, k).tolist() == [list(f) for f in forms]
+            assert _forms_at([rank], n, steps).tolist() == [list(form)]
+        assert _forms_at(np.arange(len(forms)), n, steps).tolist() == [list(f) for f in forms]
         # position r of the grown sums holds the prefix of rank r; base
         # k+1 weights make each sum name its prefix
         weights = np.array([(k + 1) ** a for a in range(n + 1)], dtype=np.int64)

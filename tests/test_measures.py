@@ -33,10 +33,6 @@ def test_chi_square_hand_values():
 
 def test_chi_square_undefined_on_shared_zero_bin():
     assert chi_square_distance(fd(2, 0, 1), fd(1, 0, 2)) is None
-    # lenient mode treats the 0/0 term as 0 instead
-    strict_equivalent = chi_square_distance(fd(2, 1), fd(1, 2))
-    lenient = chi_square_distance(fd(2, 0, 1), fd(1, 0, 2), lenient=True)
-    assert lenient == pytest.approx(strict_equivalent, abs=1e-15)
 
 
 def test_chi_square_matches_direct_formula_on_shape_pair():
@@ -195,11 +191,10 @@ def test_compare_all_sqrt_series():
     )
 
 
-def test_compare_all_lenient_chi_square_flag():
-    report = compare_all(fd(2, 0, 1), fd(1, 0, 2), lenient_chi_square=True)
-    assert report.chi_square is not None
-    assert "chi_square" not in report.undefined_flags
-    assert report.kl_sqrt is None  # leniency applies to chi-square only
+def test_compare_all_shared_zero_bin_flags():
+    report = compare_all(fd(2, 0, 1), fd(1, 0, 2))
+    assert report.chi_square is None and report.kl_sqrt is None
+    assert report.undefined_flags == frozenset({"chi_square", "kl_sqrt"})
 
 
 def test_measure_report_value_accessor():
