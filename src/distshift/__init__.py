@@ -3,13 +3,10 @@ distributions, with feasible-set enumeration, sampling, and Monte Carlo
 correlation experiments."""
 
 from .distributions import (
-    CumulativeDistribution,
     DistributionError,
     FrequencyDistribution,
     ParseError,
     ValidationError,
-    cumulate,
-    decumulate,
     parse_distributions,
 )
 from .experiments import (
@@ -57,7 +54,6 @@ __all__ = [
     "CapExceededError",
     "CollisionRecord",
     "CorrelationTable",
-    "CumulativeDistribution",
     "DistributionError",
     "ExperimentConfig",
     "FrequencyDistribution",
@@ -74,8 +70,6 @@ __all__ = [
     "cardinality",
     "chi_square_distance",
     "compare_all",
-    "cumulate",
-    "decumulate",
     "ds",
     "ds_linear",
     "ds_with_exponent",

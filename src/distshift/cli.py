@@ -21,7 +21,6 @@ from .distributions import (
     DistributionError,
     FrequencyDistribution,
     ValidationError,
-    cumulate,
     parse_distributions,
 )
 from .experiments import (
@@ -117,13 +116,12 @@ def _check_expectations(f: FrequencyDistribution, args) -> None:
 def _cmd_ds(args) -> int:
     f = _load_single(args.inline, args.input, args.input_format, "input")
     _check_expectations(f, args)
-    F = cumulate(f)
     if args.linear:
-        value = ds_linear(F)
+        value = ds_linear(f)
     elif args.z is not None:
-        value = ds_with_exponent(F, _parse_exponent(args.z))
+        value = ds_with_exponent(f, _parse_exponent(args.z))
     else:
-        value = ds(F)
+        value = ds(f)
     if args.format == "json":
         _write_output(
             _dump_json({"ds": value.ds, "z_used": value.z_used, "n": value.n, "k": value.k}),
@@ -140,7 +138,7 @@ def _cmd_ds(args) -> int:
 def _cmd_rds(args) -> int:
     f1 = _load_single(args.a, args.a_file, args.input_format, "--a")
     f2 = _load_single(args.b, args.b_file, args.input_format, "--b")
-    value = rds(cumulate(f1), cumulate(f2))
+    value = rds(f1, f2)
     if args.format == "json":
         _write_output(_dump_json({"rds": value, "k1": f1.k, "k2": f2.k}), args.out)
     else:
@@ -183,10 +181,7 @@ def _cmd_enum(args) -> int:
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8")
     try:
         for member in stream:
-            if args.cumulative:
-                row = cumulate(member).totals
-            else:
-                row = member.counts
+            row = member.totals if args.cumulative else member.counts
             out.write(",".join(str(c) for c in row) + "\n")
     finally:
         if out is not sys.stdout:
@@ -289,7 +284,9 @@ def _add_experiment_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--undefined-policy", dest="undefined_policy", choices=("drop", "fail"), default="drop"
     )
-    p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
+    p.add_argument(
+        "--threads", type=int, default=1, help="worker processes, at most one per CPU (default: 1)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

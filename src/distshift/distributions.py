@@ -1,14 +1,15 @@
 """Core value types for discrete frequency distributions.
 
 A frequency distribution places n observations into k ordered bins as
-nonnegative integer counts. Its cumulative form holds the running totals.
-Both are immutable; every operation here is a pure function.
+nonnegative integer counts. It carries their running totals F_i, the
+cumulative form that DS and the cumulative measures read. Distributions
+are immutable; every operation here is a pure function.
 """
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 
@@ -42,9 +43,11 @@ def _int_tuple(values, what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FrequencyDistribution:
-    """Nonnegative integer counts per ordered bin; n and k are derived."""
+    """Nonnegative integer counts per ordered bin and their running
+    totals; n and k are derived."""
 
     counts: tuple[int, ...]
+    totals: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = _int_tuple(self.counts, "count")
@@ -54,38 +57,16 @@ class FrequencyDistribution:
         for i, c in enumerate(counts):
             if c < 0:
                 raise ValidationError(f"negative count {c} at bin {i}")
-        if sum(counts) < 1:
+        object.__setattr__(self, "totals", tuple(accumulate(counts)))
+        if self.n < 1:
             raise ValidationError("total observations must be at least 1")
 
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def k(self) -> int:
-        return len(self.counts)
-
-
-@dataclass(frozen=True)
-class CumulativeDistribution:
-    """Nondecreasing running totals; the final total equals n."""
-
-    totals: tuple[int, ...]
-
-    def __post_init__(self):
-        totals = _int_tuple(self.totals, "total")
-        object.__setattr__(self, "totals", totals)
-        if len(totals) < 2:
-            raise ValidationError(f"need at least 2 bins, got {len(totals)}")
-        if totals[0] < 0:
-            raise ValidationError(f"negative total {totals[0]} at bin 0")
-        for i in range(1, len(totals)):
-            if totals[i] < totals[i - 1]:
-                raise ValidationError(
-                    f"totals must be nondecreasing, got {totals[i]} after {totals[i - 1]}"
-                )
-        if totals[-1] < 1:
-            raise ValidationError("total observations must be at least 1")
+    @classmethod
+    def from_totals(cls, totals) -> FrequencyDistribution:
+        """The distribution with these running totals: their first
+        differences, so decreasing totals are negative counts."""
+        t = _int_tuple(totals, "total")
+        return cls(t[:1] + tuple(b - a for a, b in zip(t, t[1:])))
 
     @property
     def n(self) -> int:
@@ -93,18 +74,7 @@ class CumulativeDistribution:
 
     @property
     def k(self) -> int:
-        return len(self.totals)
-
-
-def cumulate(f: FrequencyDistribution) -> CumulativeDistribution:
-    """Running totals of the counts (exact integer arithmetic)."""
-    return CumulativeDistribution(tuple(accumulate(f.counts)))
-
-
-def decumulate(F: CumulativeDistribution) -> FrequencyDistribution:
-    """Inverse of :func:`cumulate`: first differences of the totals."""
-    t = F.totals
-    return FrequencyDistribution((t[0],) + tuple(t[i] - t[i - 1] for i in range(1, len(t))))
+        return len(self.counts)
 
 
 def parse_distributions(text: str, format: str = "csv") -> list[FrequencyDistribution]:
@@ -160,9 +130,4 @@ def _load_json(text: str):
 def _counts_from_json(value) -> FrequencyDistribution:
     if not isinstance(value, list):
         raise ParseError(f"expected a JSON array, got {type(value).__name__}")
-    counts = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValidationError(f"non-integer count {v!r} at bin {i}")
-        counts.append(v)
-    return FrequencyDistribution(tuple(counts))
+    return FrequencyDistribution(tuple(value))

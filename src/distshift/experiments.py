@@ -15,8 +15,9 @@ random stream and changes whenever a seeded run would draw differently.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -79,7 +80,6 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class RegressionSummary:
     slope: float
-    intercept: float
     r_squared: float
     sample_count: int
     dropped_count: int = 0
@@ -160,8 +160,8 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
     curvature. Pairs where chi-square or KL is undefined are dropped only
     from the regressions that involve the undefined series (the drop
     policy), or abort the run (the fail policy). ``threads`` partitions
-    pair indices across processes; results are independent of the
-    partitioning.
+    pair indices into that many chunks, run by at most one process per
+    CPU; results are independent of the partitioning.
     """
     num = config.num_pairs
     if threads < 1:
@@ -172,7 +172,8 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
     if len(los) == 1:
         parts = [_compute_pairs(config, 0, num)]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        workers = min(threads, len(los), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_compute_pairs, repeat(config), los, his))
     rows = np.concatenate([p[0] for p in parts])
     signed = np.concatenate([p[1] for p in parts])
@@ -192,14 +193,10 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
             mask = np.isfinite(xs) & np.isfinite(ys)
             kept = int(mask.sum())
             if kept < 2:
-                summaries[(x, y)] = RegressionSummary(
-                    0.0, 0.0, 0.0, kept, num - kept, degenerate=True
-                )
+                summaries[(x, y)] = RegressionSummary(0.0, 0.0, kept, num - kept, degenerate=True)
                 continue
             fit = fit_through_origin(xs[mask], ys[mask])
-            summaries[(x, y)] = RegressionSummary(
-                fit.slope, fit.intercept, fit.r_squared, kept, num - kept, fit.degenerate
-            )
+            summaries[(x, y)] = replace(fit, dropped_count=num - kept)
     return CorrelationTable(
         config=config,
         measure_names=MEASURE_NAMES,
@@ -240,10 +237,10 @@ def fit_through_origin(xs, ys) -> RegressionSummary:
     syy = float(ys @ ys)
     sxy = float(xs @ ys)
     if sxx <= 0.0 or syy <= 0.0:
-        return RegressionSummary(0.0, 0.0, 0.0, len(xs), degenerate=True)
+        return RegressionSummary(0.0, 0.0, len(xs), degenerate=True)
     slope = sxy / sxx
     r_squared = min(sxy * sxy / (sxx * syy), 1.0)
-    return RegressionSummary(slope, 0.0, r_squared, len(xs))
+    return RegressionSummary(slope, r_squared, len(xs))
 
 
 def export_fork_data(table: CorrelationTable, measure: str) -> list[tuple[float | None, float]]:

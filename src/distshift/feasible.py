@@ -12,7 +12,8 @@ integer is the case q = 1). Each term t**(p/q) is u * v**(1/q) with v
 free of q-th powers; distinct such radicals are linearly independent
 over the rationals, so two sums are equal exactly when their integer
 coefficients agree radical by radical. One uint64 hash of those
-coefficients finds the candidate collisions. For integer z with
+coefficients, each reduced modulo a prime above every n so that no term
+hashes to 0, finds the candidate collisions. For integer z with
 k * n**z < 2**64 the hash is the exact sum and candidates are
 collisions; otherwise each candidate group is regrouped by its exact
 coefficients before anything is reported.
@@ -32,6 +33,9 @@ from .distributions import FrequencyDistribution, ValidationError
 DEFAULT_CAP = 20_000_000
 
 _HASH_MASK = (1 << 64) - 1
+#: The largest prime below 2**64. Coefficients are reduced modulo it
+#: before hashing; their prime factors are at most n, so none reduces to 0.
+_HASH_PRIME = 2**64 - 59
 #: Fixed entropy so exact audits hash identically run to run.
 _AUDIT_ENTROPY = 0x1BD49A56F0C3
 #: Members looked up per step when finding the members of shared hashes.
@@ -91,6 +95,7 @@ def _fd_from_cumulative(form: tuple[int, ...]) -> FrequencyDistribution:
     counts = (form[0],) + tuple(form[i] - form[i - 1] for i in range(1, len(form)))
     fd = FrequencyDistribution.__new__(FrequencyDistribution)
     object.__setattr__(fd, "counts", counts)
+    object.__setattr__(fd, "totals", form)
     return fd
 
 
@@ -328,12 +333,15 @@ def _root_decompositions(n: int, p: int, q: int) -> list[tuple[int, tuple]]:
 
 
 def _hash_table(decomp: list[tuple[int, tuple]], n: int, z: Fraction) -> np.ndarray:
-    """uint64 hash of each term t**z: its coefficient u times a multiplier
-    fixed per radical, modulo 2**64.
+    """uint64 hash of each term t**z: its coefficient u modulo
+    _HASH_PRIME, times a multiplier fixed per radical, modulo 2**64.
 
-    The rational radical takes multiplier 1, so for integer z the table
-    holds t**z itself. Every other radical takes a random odd multiplier
-    seeded from (n, z), so an audit hashes identically run to run.
+    For t >= 1 no entry is 0: u's prime factors are at most n, below the
+    prime, and the multiplier is odd. The rational radical takes
+    multiplier 1, so for integer z with k * n**z < 2**64 (then u is below
+    the prime) the table holds t**z itself. Every other radical takes a
+    random odd multiplier seeded from (n, z), so an audit hashes
+    identically run to run.
     """
     rng = np.random.default_rng((_AUDIT_ENTROPY, n, z.numerator, z.denominator))
     multipliers = {(): 1}
@@ -341,7 +349,7 @@ def _hash_table(decomp: list[tuple[int, tuple]], n: int, z: Fraction) -> np.ndar
     for t, (u, radical) in enumerate(decomp):
         if radical not in multipliers:
             multipliers[radical] = int(rng.integers(0, 1 << 64, dtype=np.uint64)) | 1
-        table[t] = (u * multipliers[radical]) & _HASH_MASK
+        table[t] = (u % _HASH_PRIME * multipliers[radical]) & _HASH_MASK
     return table
 
 

@@ -2,7 +2,8 @@
 
 All measures operate on relative frequencies p_i = f_i/n and cumulative
 probabilities P_i = F_i/n over a shared set of k bins, so distributions
-with different n can be compared. Chi-square distance and KL divergence
+with different n can be compared; the running totals F_i are read from
+``FrequencyDistribution.totals``. Chi-square distance and KL divergence
 are undefined (returned as None) when any pair of corresponding bins is
 zero-valued; KL is also undefined when its second argument has a zero
 bin where the first does not.
@@ -12,12 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .distributions import (
-    CumulativeDistribution,
-    FrequencyDistribution,
-    ValidationError,
-    cumulate,
-)
+from .distributions import FrequencyDistribution, ValidationError
 from .shift import rds as _rds
 
 
@@ -40,11 +36,11 @@ def chi_square_distance(f1: FrequencyDistribution, f2: FrequencyDistribution) ->
     return 0.5 * math.fsum(terms)
 
 
-def ks_distance(F1: CumulativeDistribution, F2: CumulativeDistribution) -> float:
+def ks_distance(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float:
     """Maximum absolute difference between the cumulative probabilities."""
-    _require_equal_k(F1, F2)
-    n1, n2 = F1.n, F2.n
-    return max(abs(a / n1 - b / n2) for a, b in zip(F1.totals, F2.totals))
+    _require_equal_k(f1, f2)
+    n1, n2 = f1.n, f2.n
+    return max(abs(a / n1 - b / n2) for a, b in zip(f1.totals, f2.totals))
 
 
 def kl_divergence(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float | None:
@@ -76,23 +72,23 @@ def histogram_non_intersection(f1: FrequencyDistribution, f2: FrequencyDistribut
     return 1.0 - math.fsum(min(a / n1, b / n2) for a, b in zip(f1.counts, f2.counts))
 
 
-def emd(F1: CumulativeDistribution, F2: CumulativeDistribution) -> float:
+def emd(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float:
     """Earth Mover's distance for ordered bins with unit spacing.
 
     Uses the 1-D closed form sum(|P1_i - P2_i|), which equals the
     minimum-cost transport between the normalized histograms under the
     ground distance d(i, j) = |i - j|.
     """
-    _require_equal_k(F1, F2)
-    n1, n2 = F1.n, F2.n
-    return math.fsum(abs(a / n1 - b / n2) for a, b in zip(F1.totals, F2.totals))
+    _require_equal_k(f1, f2)
+    n1, n2 = f1.n, f2.n
+    return math.fsum(abs(a / n1 - b / n2) for a, b in zip(f1.totals, f2.totals))
 
 
-def rps(F1: CumulativeDistribution, F2: CumulativeDistribution) -> float:
+def rps(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float:
     """Ranked Probability Score: sum of squared cumulative differences."""
-    _require_equal_k(F1, F2)
-    n1, n2 = F1.n, F2.n
-    return math.fsum((a / n1 - b / n2) ** 2 for a, b in zip(F1.totals, F2.totals))
+    _require_equal_k(f1, f2)
+    n1, n2 = f1.n, f2.n
+    return math.fsum((a / n1 - b / n2) ** 2 for a, b in zip(f1.totals, f2.totals))
 
 
 #: Names of the seven series a report carries, in presentation order.
@@ -135,8 +131,7 @@ class MeasureReport:
 def compare_all(f1: FrequencyDistribution, f2: FrequencyDistribution) -> MeasureReport:
     """Compute RDS and all six comparison measures for one pair."""
     _require_equal_k(f1, f2)
-    F1, F2 = cumulate(f1), cumulate(f2)
-    rds_value = _rds(F1, F2)
+    rds_value = _rds(f1, f2)
     chi = chi_square_distance(f1, f2)
     kl = kl_divergence(f1, f2)
     flags = set()
@@ -148,10 +143,10 @@ def compare_all(f1: FrequencyDistribution, f2: FrequencyDistribution) -> Measure
         rds=rds_value,
         abs_rds=abs(rds_value),
         chi_square=chi,
-        ks=ks_distance(F1, F2),
+        ks=ks_distance(f1, f2),
         kl_sqrt=None if kl is None else math.sqrt(max(kl, 0.0)),
         non_intersection=histogram_non_intersection(f1, f2),
-        emd=emd(F1, F2),
-        rps_sqrt=math.sqrt(rps(F1, F2)),
+        emd=emd(f1, f2),
+        rps_sqrt=math.sqrt(rps(f1, f2)),
         undefined_flags=frozenset(flags),
     )

@@ -3,7 +3,7 @@
 DS measures how strongly a distribution's mass is concentrated away from
 the highest bin: 0 when everything sits in the right-most bin, 1 when
 everything sits in the left-most. It is computed from the normalized sum
-of exponentiated cumulative totals,
+of exponentiated cumulative totals F_i, ``FrequencyDistribution.totals``,
 
     DS = (sum_i (F_i / n)**z - 1) / (k - 1)
 
@@ -15,12 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import (
-    CumulativeDistribution,
-    FrequencyDistribution,
-    ValidationError,
-    cumulate,
-)
+from .distributions import FrequencyDistribution, ValidationError
 
 
 @dataclass(frozen=True)
@@ -33,28 +28,14 @@ class ShiftValue:
     k: int
 
 
-Distribution = FrequencyDistribution | CumulativeDistribution
-
-
-def _as_cumulative(dist: Distribution) -> CumulativeDistribution:
-    if isinstance(dist, CumulativeDistribution):
-        return dist
-    if isinstance(dist, FrequencyDistribution):
-        return cumulate(dist)
-    raise TypeError(
-        f"expected FrequencyDistribution or CumulativeDistribution, got {type(dist).__name__}"
-    )
-
-
-def ds_linear(dist: Distribution) -> ShiftValue:
+def ds_linear(f: FrequencyDistribution) -> ShiftValue:
     """Linear shift: (sum(F)/n - 1) / (k - 1), computed exactly in integers."""
-    F = _as_cumulative(dist)
-    n, k = F.n, F.k
-    value = (sum(F.totals) - n) / (n * (k - 1))
+    n, k = f.n, f.k
+    value = (sum(f.totals) - n) / (n * (k - 1))
     return ShiftValue(ds=value, z_used=1.0, n=n, k=k)
 
 
-def ds_with_exponent(dist: Distribution, z) -> ShiftValue:
+def ds_with_exponent(f: FrequencyDistribution, z) -> ShiftValue:
     """Shift with an explicit exponent z > 0, given as any real that fits a float.
 
     The sum is accumulated as sum((F_i/n)**z) with compensated summation,
@@ -68,26 +49,22 @@ def ds_with_exponent(dist: Distribution, z) -> ShiftValue:
         raise ValidationError("exponent does not fit a float") from None
     if not 0 < z < math.inf:
         raise ValidationError(f"exponent must be positive and finite, got {z}")
-    F = _as_cumulative(dist)
-    n, k = F.n, F.k
-    total = math.fsum((t / n) ** z for t in F.totals)
+    n, k = f.n, f.k
+    total = math.fsum((t / n) ** z for t in f.totals)
     return ShiftValue(ds=(total - 1.0) / (k - 1), z_used=z, n=n, k=k)
 
 
-def ds(dist: Distribution) -> ShiftValue:
+def ds(f: FrequencyDistribution) -> ShiftValue:
     """Shift with the bin-dependent default exponent z = (k + 1) / k."""
-    F = _as_cumulative(dist)
-    return ds_with_exponent(F, (F.k + 1) / F.k)
+    return ds_with_exponent(f, (f.k + 1) / f.k)
 
 
-def rds(dist1: Distribution, dist2: Distribution) -> float:
+def rds(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float:
     """Relative shift DS(F2) - DS(F1), each side using the default exponent.
 
     Positive values mean the first distribution is shifted right of the
     second. The two distributions may have different n but must share k.
     """
-    F1 = _as_cumulative(dist1)
-    F2 = _as_cumulative(dist2)
-    if F1.k != F2.k:
-        raise ValidationError(f"bin counts differ (k={F1.k} vs k={F2.k})")
-    return ds(F2).ds - ds(F1).ds
+    if f1.k != f2.k:
+        raise ValidationError(f"bin counts differ (k={f1.k} vs k={f2.k})")
+    return ds(f2).ds - ds(f1).ds

@@ -14,7 +14,6 @@ from scipy import stats
 
 from distshift import (
     CapExceededError,
-    CumulativeDistribution,
     ExperimentConfig,
     FrequencyDistribution,
     MEASURE_NAMES,
@@ -22,7 +21,6 @@ from distshift import (
     audit_uniqueness_default,
     cardinality,
     compare_all,
-    cumulate,
     ds,
     ds_linear,
     ds_with_exponent,
@@ -38,23 +36,25 @@ from distshift.cli import main
 from oracles import transport_emd
 from test_shift import A33_CUMULATIVE
 
+from_totals = FrequencyDistribution.from_totals
+
 
 def test_criterion_1_golden_shift_values():
     start = time.perf_counter()
 
-    assert abs(ds_linear(CumulativeDistribution((1, 2, 3))).ds - 0.5) <= 1e-12
-    assert abs(ds_linear(CumulativeDistribution((2, 3, 3))).ds - 5 / 6) <= 1e-12
+    assert abs(ds_linear(from_totals((1, 2, 3))).ds - 0.5) <= 1e-12
+    assert abs(ds_linear(from_totals((2, 3, 3))).ds - 5 / 6) <= 1e-12
 
     # ten squared-exponent values over A(3, 3); ninths are the exact targets
     ninths = (9, 10, 13, 18, 11, 14, 19, 17, 22, 27)
     for totals, numerator in zip(A33_CUMULATIVE, ninths):
-        value = ds_with_exponent(CumulativeDistribution(totals), 2.0)
+        value = ds_with_exponent(from_totals(totals), 2.0)
         raw_sum = value.ds * (value.k - 1) + 1
         assert abs(raw_sum - float(Fraction(numerator, 9))) <= 0.005
         assert abs(raw_sum - float(Fraction(numerator, 9))) <= 1e-12
 
-    assert abs(ds_with_exponent(CumulativeDistribution((0, 3, 3, 5)), 3.0).ds - 0.144) <= 1e-3
-    assert abs(ds_with_exponent(CumulativeDistribution((1, 1, 4, 5)), 3.0).ds - 0.176) <= 1e-3
+    assert abs(ds_with_exponent(from_totals((0, 3, 3, 5)), 3.0).ds - 0.144) <= 1e-3
+    assert abs(ds_with_exponent(from_totals((1, 1, 4, 5)), 3.0).ds - 0.176) <= 1e-3
 
     wide = FrequencyDistribution((21, 2, 0, 2, 21))
     spike = FrequencyDistribution((1, 1, 42, 1, 1))
@@ -75,7 +75,7 @@ def test_criterion_2_feasible_set_counts():
     assert cardinality(10, 5) == 1001
     assert cardinality(100, 5) == 4_598_126
 
-    listing = [cumulate(member).totals for member in enumerate_members(3, 3)]
+    listing = [member.totals for member in enumerate_members(3, 3)]
     assert listing == list(A33_CUMULATIVE)
 
     assert time.perf_counter() - start < 60.0
@@ -124,7 +124,7 @@ CONSTRUCTION_SENSITIVE = {
 
 def _recheck_core_results():
     """Cheap re-statement of criteria 1-3 essentials, gating the escape path."""
-    assert abs(ds_linear(CumulativeDistribution((1, 2, 3))).ds - 0.5) <= 1e-12
+    assert abs(ds_linear(from_totals((1, 2, 3))).ds - 0.5) <= 1e-12
     assert cardinality(3, 3) == 10 and cardinality(10, 5) == 1001
     assert audit_uniqueness(3, 3, 1.0).unique_values == 7
     assert audit_uniqueness(10, 5, 7.0).fully_unique
@@ -213,11 +213,10 @@ def test_criterion_5_property_suites():
     for k in range(2, 5):
         for n in range(1, 6):
             members = list(enumerate_members(n, k))
-            forms = [cumulate(m) for m in members]
             probs = [np.array(m.counts) / n for m in members]
-            for i in range(len(members)):
-                for j in range(len(members)):
-                    assert abs(emd(forms[i], forms[j]) - transport_emd(probs[i], probs[j])) <= 1e-9
+            for f1, p1 in zip(members, probs):
+                for f2, p2 in zip(members, probs):
+                    assert abs(emd(f1, f2) - transport_emd(p1, p2)) <= 1e-9
 
     # sampler goodness of fit at the 0.1% level, 1e5 draws per set
     for n, k, seed in ((3, 3, 5), (4, 4, 6)):

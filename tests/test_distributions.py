@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from distshift import (
-    CumulativeDistribution,
     FrequencyDistribution,
     ParseError,
     ValidationError,
-    cumulate,
-    decumulate,
     parse_distributions,
 )
 
@@ -42,21 +39,21 @@ def test_frequency_distribution_accepts_numpy_integers():
 
 
 def test_cumulative_distribution_accepts_numpy_integers():
-    F = CumulativeDistribution((np.int64(1), np.int32(3)))
+    F = FrequencyDistribution.from_totals((np.int64(1), np.int32(3)))
     assert F.totals == (1, 3) and F.n == 3
     assert all(type(t) is int for t in F.totals)
     for bad in [(1, np.True_), (1, True), (1, np.float64(3.0)), (1, 3.0)]:
         with pytest.raises(ValidationError, match="non-integer total"):
-            CumulativeDistribution(bad)
+            FrequencyDistribution.from_totals(bad)
 
 
 def test_cumulative_distribution_rejects_decreasing_totals():
     with pytest.raises(ValidationError):
-        CumulativeDistribution((2, 1, 3))
+        FrequencyDistribution.from_totals((2, 1, 3))
     with pytest.raises(ValidationError):
-        CumulativeDistribution((-1, 0, 3))
+        FrequencyDistribution.from_totals((-1, 0, 3))
     with pytest.raises(ValidationError):
-        CumulativeDistribution((0, 0, 0))
+        FrequencyDistribution.from_totals((0, 0, 0))
 
 
 @pytest.mark.parametrize(
@@ -69,7 +66,7 @@ def test_cumulative_distribution_rejects_decreasing_totals():
     ],
 )
 def test_cumulate_golden(counts, totals):
-    assert cumulate(FrequencyDistribution(counts)).totals == totals
+    assert FrequencyDistribution(counts).totals == totals
 
 
 @pytest.mark.parametrize(
@@ -77,17 +74,16 @@ def test_cumulate_golden(counts, totals):
     [((0, 0, 3), (0, 0, 3)), ((2, 3, 3), (2, 1, 0)), ((1, 2, 3), (1, 1, 1))],
 )
 def test_decumulate_golden(totals, counts):
-    assert decumulate(CumulativeDistribution(totals)).counts == counts
+    assert FrequencyDistribution.from_totals(totals).counts == counts
 
 
 def test_cumulate_decumulate_round_trip_exhaustive():
     for n, k in [(6, 4), (5, 3), (3, 5)]:
         for counts in compositions(n, k):
             f = FrequencyDistribution(counts)
-            F = cumulate(f)
-            assert F.totals[-1] == n
-            assert all(F.totals[i] <= F.totals[i + 1] for i in range(k - 1))
-            assert decumulate(F) == f
+            assert f.totals[-1] == n
+            assert all(f.totals[i] <= f.totals[i + 1] for i in range(k - 1))
+            assert FrequencyDistribution.from_totals(f.totals) == f
 
 
 def test_parse_csv_single():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -16,7 +16,6 @@ from distshift import (
     audit_uniqueness,
     audit_uniqueness_default,
     cardinality,
-    cumulate,
     enumerate_members,
     sample_uniform,
 )
@@ -48,12 +47,12 @@ def test_cardinality_validates_inputs():
 
 
 def test_enumerate_a33_listing_verbatim():
-    got = [cumulate(f).totals for f in enumerate_members(3, 3)]
+    got = [f.totals for f in enumerate_members(3, 3)]
     assert got == A33_CUMULATIVE
 
 
 def test_enumerate_smallest_set():
-    got = [cumulate(f).totals for f in enumerate_members(1, 2)]
+    got = [f.totals for f in enumerate_members(1, 2)]
     assert got == [(0, 1), (1, 1)]
 
 
@@ -61,7 +60,7 @@ def test_enumerate_count_order_and_validity():
     for n, k in [(8, 3), (5, 5), (15, 2), (6, 4)]:
         members = list(enumerate_members(n, k))
         assert len(members) == cardinality(n, k)
-        forms = [cumulate(f).totals for f in members]
+        forms = [f.totals for f in members]
         assert forms == sorted(forms)
         assert len(set(forms)) == len(forms)
         for f in members:
@@ -140,7 +139,7 @@ def test_audit_10_5_exponent_sweep():
 def test_audit_z1_ties_mirror_integer_sums():
     for n, k in [(4, 4), (6, 3)]:
         report = audit_uniqueness(n, k, 1)
-        sums = Counter(sum(cumulate(f).totals) for f in enumerate_members(n, k))
+        sums = Counter(sum(f.totals) for f in enumerate_members(n, k))
         assert report.unique_values == len(sums)
         for rec in report.collisions:
             member_sums = {sum(m) for m in rec.members}
@@ -267,9 +266,19 @@ def test_exact_confirmation_splits_false_hash_merges(monkeypatch):
     assert report.collision_count == 0 and report.collisions == ()
 
 
+def test_hash_table_has_no_zero_term():
+    # the coefficient is reduced modulo a prime before it is multiplied,
+    # so a multiple of 2**64 no longer hashes to 0
+    for n, z in [(60, Fraction(64)), (10, Fraction(129, 2))]:
+        decomp = _root_decompositions(n, z.numerator, z.denominator)
+        table = feasible._hash_table(decomp, n, z)
+        assert table[0] == 0
+        assert np.all(table[1:] != 0)
+
+
 def test_forms_at_inverts_the_grow_order():
     for n, k in [(6, 4), (5, 3), (3, 5), (1, 2)]:
-        forms = [cumulate(f).totals for f in enumerate_members(n, k)]
+        forms = [f.totals for f in enumerate_members(n, k)]
         # colex rank of the free prefix: sum over i of C(a_i + i - 1, i)
         ranks = [sum(math.comb(a + i, i + 1) for i, a in enumerate(f[:-1])) for f in forms]
         assert sorted(ranks) == list(range(len(forms)))
@@ -295,6 +304,12 @@ EXPONENTS = st.one_of(
 
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 9), k=st.integers(2, 5), z=EXPONENTS)
+# coefficients divisible by 2**64: t**64 and t**65 at every even t, and
+# t**(129/2) = t**64 * sqrt(t)
+@example(n=9, k=4, z=64)
+@example(n=9, k=4, z=65)
+@example(n=10, k=3, z=Fraction(129, 2))
+@example(n=8, k=5, z=Fraction(129, 2))
 def test_audit_matches_exact_oracle(n, k, z):
     classes = exact_sum_classes(n, k, z)
     shared = {forms[0]: forms for forms in classes if len(forms) >= 2}

@@ -9,7 +9,6 @@ from distshift import (
     ValidationError,
     chi_square_distance,
     compare_all,
-    cumulate,
     emd,
     histogram_non_intersection,
     kl_divergence,
@@ -45,9 +44,9 @@ def test_chi_square_matches_direct_formula_on_shape_pair():
 
 
 def test_ks_hand_values():
-    assert ks_distance(cumulate(fd(2, 1, 0)), cumulate(fd(1, 1, 1))) == pytest.approx(1 / 3)
-    assert ks_distance(cumulate(fd(9, 0, 0)), cumulate(fd(0, 0, 9))) == 1.0
-    assert ks_distance(cumulate(fd(1, 2, 3)), cumulate(fd(1, 2, 3))) == 0.0
+    assert ks_distance(fd(2, 1, 0), fd(1, 1, 1)) == pytest.approx(1 / 3)
+    assert ks_distance(fd(9, 0, 0), fd(0, 0, 9)) == 1.0
+    assert ks_distance(fd(1, 2, 3), fd(1, 2, 3)) == 0.0
 
 
 def test_kl_hand_values():
@@ -80,9 +79,9 @@ def test_non_intersection_golden():
 
 
 def test_emd_hand_values():
-    assert emd(cumulate(fd(7, 0, 0)), cumulate(fd(0, 0, 7))) == 2.0
-    assert emd(cumulate(fd(2, 1, 0)), cumulate(fd(1, 1, 1))) == pytest.approx(2 / 3)
-    assert emd(cumulate(fd(4, 4)), cumulate(fd(4, 4))) == 0.0
+    assert emd(fd(7, 0, 0), fd(0, 0, 7)) == 2.0
+    assert emd(fd(2, 1, 0), fd(1, 1, 1)) == pytest.approx(2 / 3)
+    assert emd(fd(4, 4), fd(4, 4)) == 0.0
 
 
 def test_emd_equals_transport_oracle_on_small_pairs():
@@ -91,21 +90,21 @@ def test_emd_equals_transport_oracle_on_small_pairs():
         p1 = np.array(f1.counts) / f1.n
         for f2 in members:
             p2 = np.array(f2.counts) / f2.n
-            closed_form = emd(cumulate(f1), cumulate(f2))
+            closed_form = emd(f1, f2)
             assert closed_form == pytest.approx(transport_emd(p1, p2), abs=1e-9)
 
 
 def test_rps_hand_values():
-    assert rps(cumulate(fd(2, 1, 0)), cumulate(fd(1, 1, 1))) == pytest.approx(2 / 9, abs=1e-15)
-    assert rps(cumulate(fd(6, 0, 0)), cumulate(fd(0, 0, 6))) == 2.0
-    assert rps(cumulate(fd(1, 1)), cumulate(fd(1, 1))) == 0.0
+    assert rps(fd(2, 1, 0), fd(1, 1, 1)) == pytest.approx(2 / 9, abs=1e-15)
+    assert rps(fd(6, 0, 0), fd(0, 0, 6)) == 2.0
+    assert rps(fd(1, 1), fd(1, 1)) == 0.0
 
 
 def test_unequal_n_is_supported():
     # same shapes at different scales compare as identical
     f1, f2 = fd(2, 4, 2), fd(1, 2, 1)
-    assert ks_distance(cumulate(f1), cumulate(f2)) == 0.0
-    assert emd(cumulate(f1), cumulate(f2)) == 0.0
+    assert ks_distance(f1, f2) == 0.0
+    assert emd(f1, f2) == 0.0
     assert chi_square_distance(f1, f2) == 0.0
 
 
@@ -119,18 +118,16 @@ def test_measures_reject_unequal_k():
 def test_symmetry_and_identity_exhaustive_small_pairs():
     members = [fd(*c) for c in compositions(4, 3)]
     for f1 in members:
-        F1 = cumulate(f1)
         for f2 in members:
-            F2 = cumulate(f2)
-            assert ks_distance(F1, F2) == ks_distance(F2, F1)
-            assert emd(F1, F2) == emd(F2, F1)
-            assert rps(F1, F2) == rps(F2, F1)
+            assert ks_distance(f1, f2) == ks_distance(f2, f1)
+            assert emd(f1, f2) == emd(f2, f1)
+            assert rps(f1, f2) == rps(f2, f1)
             assert histogram_non_intersection(f1, f2) == histogram_non_intersection(f2, f1)
             chi_ab = chi_square_distance(f1, f2)
             chi_ba = chi_square_distance(f2, f1)
             assert chi_ab == chi_ba
             kl = kl_divergence(f1, f2)
-            values = [ks_distance(F1, F2), emd(F1, F2), rps(F1, F2),
+            values = [ks_distance(f1, f2), emd(f1, f2), rps(f1, f2),
                       histogram_non_intersection(f1, f2)]
             if chi_ab is not None:
                 values.append(chi_ab)
@@ -146,7 +143,7 @@ def test_symmetry_and_identity_exhaustive_small_pairs():
 def test_triangle_inequality_for_ks_and_emd():
     rng = np.random.default_rng(17)
     for _ in range(300):
-        F = [cumulate(sample_uniform(20, 5, rng)) for _ in range(3)]
+        F = [sample_uniform(20, 5, rng) for _ in range(3)]
         for d in (ks_distance, emd):
             ab, bc, ac = d(F[0], F[1]), d(F[1], F[2]), d(F[0], F[2])
             assert ac <= ab + bc + 1e-12
@@ -163,7 +160,7 @@ def test_compare_all_report_fields():
     assert report.chi_square == pytest.approx(
         chi_square_distance(fd(21, 2, 0, 2, 21), fd(1, 1, 42, 1, 1)), abs=1e-15
     )
-    assert report.ks == ks_distance(cumulate(fd(21, 2, 0, 2, 21)), cumulate(fd(1, 1, 42, 1, 1)))
+    assert report.ks == ks_distance(fd(21, 2, 0, 2, 21), fd(1, 1, 42, 1, 1))
     assert report.rps_sqrt >= 0
 
 
@@ -187,7 +184,7 @@ def test_compare_all_sqrt_series():
     report = compare_all(f1, f2)
     assert report.kl_sqrt == pytest.approx(math.sqrt(kl_divergence(f1, f2)), abs=1e-15)
     assert report.rps_sqrt == pytest.approx(
-        math.sqrt(rps(cumulate(f1), cumulate(f2))), abs=1e-15
+        math.sqrt(rps(f1, f2)), abs=1e-15
     )
 
 

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from distshift import (
-    CumulativeDistribution,
     FrequencyDistribution,
     ValidationError,
-    cumulate,
     ds,
     ds_linear,
     ds_with_exponent,
@@ -34,16 +32,16 @@ A33_CUMULATIVE = [
 
 
 def test_ds_linear_golden():
-    assert ds_linear(CumulativeDistribution((1, 2, 3))).ds == 0.5
-    assert abs(ds_linear(CumulativeDistribution((2, 3, 3))).ds - 5 / 6) <= 1e-12
-    assert ds_linear(CumulativeDistribution((0, 0, 3))).ds == 0.0
-    assert ds_linear(CumulativeDistribution((3, 3, 3))).ds == 1.0
+    assert ds_linear(FrequencyDistribution.from_totals((1, 2, 3))).ds == 0.5
+    assert abs(ds_linear(FrequencyDistribution.from_totals((2, 3, 3))).ds - 5 / 6) <= 1e-12
+    assert ds_linear(FrequencyDistribution.from_totals((0, 0, 3))).ds == 0.0
+    assert ds_linear(FrequencyDistribution.from_totals((3, 3, 3))).ds == 1.0
 
 
 def test_ds_linear_matches_exact_rationals_on_a33():
     for totals in A33_CUMULATIVE:
         expected = ds_fraction(totals, 1)
-        got = ds_linear(CumulativeDistribution(totals)).ds
+        got = ds_linear(FrequencyDistribution.from_totals(totals)).ds
         assert abs(got - float(expected)) <= 1e-15
 
 
@@ -51,16 +49,16 @@ def test_ds_squared_exponent_matches_exact_rationals_on_a33():
     # the z=2 sums run 9/9, 10/9, ..., 27/9; ds follows as (sum - 1)/2
     for totals in A33_CUMULATIVE:
         expected = ds_fraction(totals, 2)
-        got = ds_with_exponent(CumulativeDistribution(totals), 2).ds
+        got = ds_with_exponent(FrequencyDistribution.from_totals(totals), 2).ds
         assert abs(got - float(expected)) <= 1e-12
-    ten_ninths = ds_with_exponent(CumulativeDistribution((0, 1, 3)), 2)
+    ten_ninths = ds_with_exponent(FrequencyDistribution.from_totals((0, 1, 3)), 2)
     assert abs(ten_ninths.ds - (Fraction(10, 9) - 1) / 2) <= 1e-12
 
 
 def test_ds_cubed_exponent_golden_pair():
     # sums 179/125 and 191/125, hence ds values 0.144 and 0.176 exactly
-    v3 = ds_with_exponent(CumulativeDistribution((0, 3, 3, 5)), 3)
-    v4 = ds_with_exponent(CumulativeDistribution((1, 1, 4, 5)), 3)
+    v3 = ds_with_exponent(FrequencyDistribution.from_totals((0, 3, 3, 5)), 3)
+    v4 = ds_with_exponent(FrequencyDistribution.from_totals((1, 1, 4, 5)), 3)
     assert abs(v3.ds - 0.144) <= 1e-3
     assert abs(v4.ds - 0.176) <= 1e-3
     assert abs(v3.ds - float(ds_fraction((0, 3, 3, 5), 3))) <= 1e-12
@@ -71,18 +69,18 @@ def test_ds_squared_exponent_collision_pair():
     # both sums equal 43/25 = 1.72 exactly; in float the two values may
     # land an ulp apart, which is why the uniqueness audit works in
     # integer arithmetic for integer exponents
-    v3 = ds_with_exponent(CumulativeDistribution((0, 3, 3, 5)), 2)
-    v4 = ds_with_exponent(CumulativeDistribution((1, 1, 4, 5)), 2)
+    v3 = ds_with_exponent(FrequencyDistribution.from_totals((0, 3, 3, 5)), 2)
+    v4 = ds_with_exponent(FrequencyDistribution.from_totals((1, 1, 4, 5)), 2)
     assert abs(v3.ds - 0.24) <= 1e-12
     assert abs(v4.ds - 0.24) <= 1e-12
     assert ds_fraction((0, 3, 3, 5), 2) == ds_fraction((1, 1, 4, 5), 2) == Fraction(6, 25)
 
 
 def test_ds_default_exponent_examples():
-    one = ds(CumulativeDistribution((10, 10, 10)))
+    one = ds(FrequencyDistribution.from_totals((10, 10, 10)))
     assert one.ds == 1.0
     assert one.z_used == (3 + 1) / 3
-    assert ds(CumulativeDistribution((0, 0, 10))).ds == 0.0
+    assert ds(FrequencyDistribution.from_totals((0, 0, 10))).ds == 0.0
 
     f1 = FrequencyDistribution((21, 2, 0, 2, 21))
     f2 = FrequencyDistribution((1, 1, 42, 1, 1))
@@ -95,16 +93,8 @@ def test_ds_default_exponent_examples():
     assert v2.ds == pytest.approx(0.4888394330173046, abs=1e-15)
 
 
-def test_ds_accepts_frequency_or_cumulative():
-    f = FrequencyDistribution((2, 1, 0))
-    assert ds(f).ds == ds(cumulate(f)).ds
-    assert ds_linear(f).ds == ds_linear(cumulate(f)).ds
-    with pytest.raises(TypeError):
-        ds([1, 2, 3])
-
-
 def test_ds_rejects_nonpositive_exponent():
-    F = CumulativeDistribution((1, 2, 3))
+    F = FrequencyDistribution.from_totals((1, 2, 3))
     # and exponents that are not finite or do not fit a float
     for z in (0, -1.5, math.inf, math.nan, Fraction("1e400"), 10**400):
         with pytest.raises(ValidationError, match="exponent"):
@@ -113,7 +103,7 @@ def test_ds_rejects_nonpositive_exponent():
 
 def test_ds_accepts_exponent_below_one():
     # outside the guaranteed [0, 1] band but accepted for exploration
-    value = ds_with_exponent(CumulativeDistribution((1, 2, 3)), 0.5)
+    value = ds_with_exponent(FrequencyDistribution.from_totals((1, 2, 3)), 0.5)
     assert math.isfinite(value.ds)
 
 
