@@ -13,8 +13,6 @@ from .experiments import (
     CorrelationTable,
     ExperimentConfig,
     RegressionSummary,
-    UndefinedMeasureError,
-    export_fork_data,
     fit_through_origin,
     run_experiment,
     sample_poisson_distribution,
@@ -62,7 +60,6 @@ __all__ = [
     "ParseError",
     "RegressionSummary",
     "ShiftValue",
-    "UndefinedMeasureError",
     "UniquenessReport",
     "ValidationError",
     "audit_uniqueness",
@@ -75,7 +72,6 @@ __all__ = [
     "ds_with_exponent",
     "emd",
     "enumerate_members",
-    "export_fork_data",
     "fit_through_origin",
     "histogram_non_intersection",
     "kl_divergence",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,11 +24,7 @@ from .distributions import (
     ValidationError,
     parse_distributions,
 )
-from .experiments import (
-    ExperimentConfig,
-    export_fork_data,
-    run_experiment,
-)
+from .experiments import ExperimentConfig, run_experiment
 from .feasible import (
     DEFAULT_CAP,
     audit_uniqueness,
@@ -156,7 +153,7 @@ def _cmd_compare(args) -> int:
         payload = {
             name: ("undefined" if v is None else v) for name, v in values.items()
         }
-        payload["undefined_flags"] = sorted(report.undefined_flags)
+        payload["undefined_flags"] = sorted(name for name, v in values.items() if v is None)
         _write_output(_dump_json(payload), args.out)
     elif args.format == "csv":
         header = ",".join(fields)
@@ -236,7 +233,6 @@ def _experiment_config(args) -> ExperimentConfig:
         num_pairs=args.pairs,
         seed=args.seed,
         lam=getattr(args, "lam", None),
-        undefined_policy=args.undefined_policy,
     )
 
 
@@ -250,10 +246,9 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_fork(args) -> int:
     table = run_experiment(_experiment_config(args), threads=args.threads)
-    rows = export_fork_data(table, args.measure)
     lines = [f"{args.measure},rds"]
-    for value, signed in rows:
-        cell = "undefined" if value is None else _machine(value)
+    for value, signed in zip(table.series[args.measure], table.signed_rds):
+        cell = "undefined" if math.isnan(value) else _machine(value)
         lines.append(f"{cell},{_machine(signed)}")
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
@@ -281,9 +276,6 @@ def _add_experiment_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="Poisson rate")
     p.add_argument("--pairs", type=int, required=True, help="number of random pairs")
     p.add_argument("--seed", type=_parse_seed, required=True, help="unsigned 64-bit seed")
-    p.add_argument(
-        "--undefined-policy", dest="undefined_policy", choices=("drop", "fail"), default="drop"
-    )
     p.add_argument(
         "--threads", type=int, default=1, help="worker processes, at most one per CPU (default: 1)"
     )
@@ -367,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fork", help="export (measure, signed rds) scatter data")
     _add_experiment_options(p)
-    p.add_argument("--measure", required=True, help=f"one of {', '.join(MEASURE_NAMES)}")
+    p.add_argument("--measure", choices=MEASURE_NAMES, required=True, help="series to export")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p.set_defaults(func=_cmd_fork)
 

@@ -23,28 +23,13 @@ from itertools import repeat
 import numpy as np
 
 from .distributions import FrequencyDistribution, ValidationError
-from .feasible import sample_uniform
+from .feasible import _validate_nk, sample_uniform
 from .measures import MEASURE_NAMES, compare_all
 
 SOURCES = ("feasible_set", "poisson")
-UNDEFINED_POLICIES = ("drop", "fail")
 #: Version of the seeded random stream, written to every JSON payload.
 #: 2: Poisson members are one multinomial draw instead of rejection sampling.
 STREAM_VERSION = 2
-
-
-class UndefinedMeasureError(ValidationError):
-    """Raised under undefined_policy='fail'; carries the offending pair."""
-
-    def __init__(self, pair_index: int, f1: tuple, f2: tuple, names: frozenset):
-        super().__init__(
-            f"pair {pair_index} ({list(f1)} vs {list(f2)}) has undefined measures: "
-            f"{sorted(names)}"
-        )
-        self.pair_index = pair_index
-        self.f1 = f1
-        self.f2 = f2
-        self.names = names
 
 
 @dataclass(frozen=True)
@@ -55,26 +40,17 @@ class ExperimentConfig:
     num_pairs: int
     seed: int
     lam: float | None = None  # Poisson rate, required for source="poisson"
-    undefined_policy: str = "drop"
 
     def __post_init__(self):
         if self.source not in SOURCES:
             raise ValidationError(f"source must be one of {SOURCES}, got {self.source!r}")
-        if self.n < 1:
-            raise ValidationError(f"n must be at least 1, got {self.n}")
-        if self.k < 2:
-            raise ValidationError(f"k must be at least 2, got {self.k}")
+        _validate_nk(self.n, self.k)
         if self.num_pairs < 1:
             raise ValidationError(f"num_pairs must be at least 1, got {self.num_pairs}")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
         if self.source == "poisson" and (self.lam is None or not self.lam > 0):
             raise ValidationError("poisson source requires lam > 0")
-        if self.undefined_policy not in UNDEFINED_POLICIES:
-            raise ValidationError(
-                f"undefined_policy must be one of {UNDEFINED_POLICIES}, "
-                f"got {self.undefined_policy!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -88,10 +64,10 @@ class RegressionSummary:
 
 @dataclass(frozen=True)
 class CorrelationTable:
-    """Pairwise OLS summaries plus the per-pair series behind them."""
+    """Pairwise OLS summaries plus the per-pair series behind them, keyed
+    by the names in ``MEASURE_NAMES``."""
 
     config: ExperimentConfig
-    measure_names: tuple[str, ...]
     summaries: dict[tuple[str, str], RegressionSummary]
     series: dict[str, np.ndarray]  # NaN marks an undefined value
     signed_rds: np.ndarray
@@ -101,17 +77,16 @@ class CorrelationTable:
 
     def to_json_dict(self) -> dict:
         matrix = {
-            x: {y: asdict(self.summaries[(x, y)]) for y in self.measure_names}
-            for x in self.measure_names
+            x: {y: asdict(self.summaries[(x, y)]) for y in MEASURE_NAMES} for x in MEASURE_NAMES
         }
         cfg = dict(asdict(self.config), stream_version=STREAM_VERSION)
-        return {"config": cfg, "measure_names": list(self.measure_names), "r_squared": matrix}
+        return {"config": cfg, "measure_names": list(MEASURE_NAMES), "r_squared": matrix}
 
     def r2_csv(self) -> str:
         """CSV matrix of r-squared values, rows and columns in series order."""
-        lines = ["measure," + ",".join(self.measure_names)]
-        for x in self.measure_names:
-            cells = (format(self.summaries[(x, y)].r_squared, ".12g") for y in self.measure_names)
+        lines = ["measure," + ",".join(MEASURE_NAMES)]
+        for x in MEASURE_NAMES:
+            cells = (format(self.summaries[(x, y)].r_squared, ".12g") for y in MEASURE_NAMES)
             lines.append(x + "," + ",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -125,10 +100,7 @@ def sample_poisson_distribution(lam: float, n: int, k: int, seed) -> FrequencyDi
     """
     if not lam > 0:
         raise ValidationError(f"lam must be positive, got {lam}")
-    if n < 1:
-        raise ValidationError(f"n must be at least 1, got {n}")
-    if k < 2:
-        raise ValidationError(f"k must be at least 2, got {k}")
+    _validate_nk(n, k)
     # normalised in log space: at large lam every term of the pmf underflows
     log_pmf = np.array([v * math.log(lam) - lam - math.lgamma(v + 1) for v in range(k)])
     top = log_pmf.max()
@@ -157,9 +129,9 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
     Table cells come from least-squares lines through the origin: every
     measure in the table is zero when the two distributions coincide, so
     the intercept is structurally zero and fitting one would only soak up
-    curvature. Pairs where chi-square or KL is undefined are dropped only
-    from the regressions that involve the undefined series (the drop
-    policy), or abort the run (the fail policy). ``threads`` partitions
+    curvature. An undefined chi-square or KL value is NaN in its series,
+    and its pair is dropped only from the regressions that involve that
+    series; ``dropped_count`` says how many. ``threads`` partitions
     pair indices into that many chunks, run by at most one process per
     CPU; results are independent of the partitioning.
     """
@@ -177,14 +149,6 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
             parts = list(pool.map(_compute_pairs, repeat(config), los, his))
     rows = np.concatenate([p[0] for p in parts])
     signed = np.concatenate([p[1] for p in parts])
-
-    undefined = np.isnan(rows).any(axis=1)
-    if config.undefined_policy == "fail" and undefined.any():
-        i = int(undefined.argmax())  # the first undefined pair, rebuilt from its seed
-        rng = _pair_generator(config.seed, i)
-        f1, f2 = _draw_member(config, rng), _draw_member(config, rng)
-        raise UndefinedMeasureError(i, f1.counts, f2.counts, compare_all(f1, f2).undefined_flags)
-
     series = {name: rows[:, j].copy() for j, name in enumerate(MEASURE_NAMES)}
     summaries: dict[tuple[str, str], RegressionSummary] = {}
     for x in MEASURE_NAMES:
@@ -197,13 +161,7 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
                 continue
             fit = fit_through_origin(xs[mask], ys[mask])
             summaries[(x, y)] = replace(fit, dropped_count=num - kept)
-    return CorrelationTable(
-        config=config,
-        measure_names=MEASURE_NAMES,
-        summaries=summaries,
-        series=series,
-        signed_rds=signed,
-    )
+    return CorrelationTable(config=config, summaries=summaries, series=series, signed_rds=signed)
 
 
 def _compute_pairs(config: ExperimentConfig, lo: int, hi: int):
@@ -214,7 +172,7 @@ def _compute_pairs(config: ExperimentConfig, lo: int, hi: int):
         rng = _pair_generator(config.seed, i)
         report = compare_all(_draw_member(config, rng), _draw_member(config, rng))
         signed[i - lo] = report.rds
-        values = (report.value(name) for name in MEASURE_NAMES)
+        values = (getattr(report, name) for name in MEASURE_NAMES)
         rows[i - lo] = [np.nan if v is None else v for v in values]
     return rows, signed
 
@@ -242,19 +200,3 @@ def fit_through_origin(xs, ys) -> RegressionSummary:
     r_squared = min(sxy * sxy / (sxx * syy), 1.0)
     return RegressionSummary(slope, r_squared, len(xs))
 
-
-def export_fork_data(table: CorrelationTable, measure: str) -> list[tuple[float | None, float]]:
-    """Per-pair (measure value, signed RDS) rows for fork-style scatters.
-
-    Undefined measure values come back as None; no rows are aggregated
-    or dropped.
-    """
-    if measure not in table.measure_names:
-        raise ValueError(
-            f"unknown measure {measure!r}; expected one of {list(table.measure_names)}"
-        )
-    values = table.series[measure]
-    return [
-        (None if math.isnan(v) else float(v), float(r))
-        for v, r in zip(values, table.signed_rds)
-    ]

@@ -31,6 +31,8 @@ from .distributions import FrequencyDistribution, ValidationError
 
 #: Default ceiling on feasible-set size for enumeration and audits.
 DEFAULT_CAP = 20_000_000
+#: Cumulative forms an audit reports per collision record.
+WITNESSES_PER_VALUE = 4
 
 _HASH_MASK = (1 << 64) - 1
 #: The largest prime below 2**64. Coefficients are reduced modulo it
@@ -190,7 +192,6 @@ def audit_uniqueness(
     *,
     cap: int = DEFAULT_CAP,
     max_collisions: int = 20,
-    witnesses_per_value: int = 4,
 ) -> UniquenessReport:
     """Compute sum((F_i/n)**z) for every member of A(n, k) and count the
     distinct values exactly, reporting collisions with member witnesses.
@@ -199,8 +200,8 @@ def audit_uniqueness(
     is audited as ``Fraction(z)``, so the float 1.1 stands for the
     double nearest 11/10, not for 11/10 itself, and the report's ``z`` is
     that ``Fraction``. The collision list keeps the ``max_collisions``
-    smallest shared values, each with its first ``witnesses_per_value``
-    (at least 2) cumulative forms in lexicographic order.
+    smallest shared values, each with its first ``WITNESSES_PER_VALUE``
+    cumulative forms in lexicographic order.
     """
     if not isinstance(z, (int, Fraction)):
         z = float(z)
@@ -211,8 +212,6 @@ def audit_uniqueness(
         raise ValidationError(f"exponent must be positive, got {z}")
     if max_collisions < 0:
         raise ValidationError(f"max_collisions must be at least 0, got {max_collisions}")
-    if witnesses_per_value < 2:
-        raise ValidationError(f"witnesses_per_value must be at least 2, got {witnesses_per_value}")
     size = cardinality(n, k)
     if size > cap:
         raise CapExceededError(n, k, size, cap)
@@ -222,7 +221,7 @@ def audit_uniqueness(
         CollisionRecord(
             value=value,
             count=len(forms),
-            members=tuple(map(tuple, forms[:witnesses_per_value].tolist())),
+            members=tuple(map(tuple, forms[:WITNESSES_PER_VALUE].tolist())),
         )
         for value, forms in groups
     )
@@ -275,15 +274,15 @@ def _audit_exact(n: int, k: int, z: Fraction, max_collisions: int):
         collision_count = len(groups)
 
     if z.denominator == 1:
-        def value(form):  # correctly rounded sum(t**z) / n**z
+        def value_of(form):  # correctly rounded sum(t**z) / n**z
             return sum(decomp[t][0] for t in form) / decomp[n][0]
     else:
         floats = ((np.arange(n + 1, dtype=np.float64) / n) ** float(z)).tolist()
 
-        def value(form):
+        def value_of(form):
             return math.fsum(floats[t] for t in form)
 
-    keyed = sorted((value(g[0].tolist()), g[0].tolist(), i) for i, g in enumerate(groups))
+    keyed = sorted((value_of(g[0].tolist()), g[0].tolist(), i) for i, g in enumerate(groups))
     return unique_values, collision_count, [(v, groups[i]) for v, _, i in keyed[:max_collisions]]
 
 

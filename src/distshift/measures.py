@@ -11,15 +11,10 @@ bin where the first does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .distributions import FrequencyDistribution, ValidationError
-from .shift import rds as _rds
-
-
-def _require_equal_k(a, b) -> None:
-    if a.k != b.k:
-        raise ValidationError(f"bin counts differ (k={a.k} vs k={b.k})")
+from .distributions import FrequencyDistribution
+from .shift import _require_equal_k, rds as _rds
 
 
 def chi_square_distance(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float | None:
@@ -66,10 +61,14 @@ def kl_divergence(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float
 
 
 def histogram_non_intersection(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float:
-    """1 minus the summed bin-wise minima of the normalized histograms."""
+    """1 minus the summed bin-wise minima of the normalized histograms.
+
+    Computed as the same quantity 0.5 * sum(|p1 - p2|), which is exactly 0
+    for identical inputs and exactly symmetric; 1 - sum(min) is not.
+    """
     _require_equal_k(f1, f2)
     n1, n2 = f1.n, f2.n
-    return 1.0 - math.fsum(min(a / n1, b / n2) for a, b in zip(f1.counts, f2.counts))
+    return 0.5 * math.fsum(abs(a / n1 - b / n2) for a, b in zip(f1.counts, f2.counts))
 
 
 def emd(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float:
@@ -108,8 +107,8 @@ class MeasureReport:
     """All pairwise measure values for one (f1, f2) pair.
 
     ``kl_sqrt`` and ``rps_sqrt`` hold square roots, which is the form the
-    correlation experiments consume. A measure name appears in
-    ``undefined_flags`` exactly when its value is None.
+    correlation experiments consume. ``chi_square`` and ``kl_sqrt`` are
+    None where the measure is undefined; that None is the only record of it.
     """
 
     rds: float
@@ -120,33 +119,19 @@ class MeasureReport:
     non_intersection: float
     emd: float
     rps_sqrt: float
-    undefined_flags: frozenset[str] = field(default_factory=frozenset)
-
-    def value(self, name: str) -> float | None:
-        if name not in MEASURE_NAMES:
-            raise ValueError(f"unknown measure {name!r}; expected one of {MEASURE_NAMES}")
-        return getattr(self, name)
 
 
 def compare_all(f1: FrequencyDistribution, f2: FrequencyDistribution) -> MeasureReport:
     """Compute RDS and all six comparison measures for one pair."""
-    _require_equal_k(f1, f2)
-    rds_value = _rds(f1, f2)
-    chi = chi_square_distance(f1, f2)
+    rds_value = _rds(f1, f2)  # refuses unequal k before any measure runs
     kl = kl_divergence(f1, f2)
-    flags = set()
-    if chi is None:
-        flags.add("chi_square")
-    if kl is None:
-        flags.add("kl_sqrt")
     return MeasureReport(
         rds=rds_value,
         abs_rds=abs(rds_value),
-        chi_square=chi,
+        chi_square=chi_square_distance(f1, f2),
         ks=ks_distance(f1, f2),
         kl_sqrt=None if kl is None else math.sqrt(max(kl, 0.0)),
         non_intersection=histogram_non_intersection(f1, f2),
         emd=emd(f1, f2),
         rps_sqrt=math.sqrt(rps(f1, f2)),
-        undefined_flags=frozenset(flags),
     )

@@ -28,6 +28,11 @@ class ShiftValue:
     k: int
 
 
+def _require_equal_k(f1: FrequencyDistribution, f2: FrequencyDistribution) -> None:
+    if f1.k != f2.k:
+        raise ValidationError(f"bin counts differ (k={f1.k} vs k={f2.k})")
+
+
 def ds_linear(f: FrequencyDistribution) -> ShiftValue:
     """Linear shift: (sum(F)/n - 1) / (k - 1), computed exactly in integers."""
     n, k = f.n, f.k
@@ -65,6 +70,5 @@ def rds(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float:
     Positive values mean the first distribution is shifted right of the
     second. The two distributions may have different n but must share k.
     """
-    if f1.k != f2.k:
-        raise ValidationError(f"bin counts differ (k={f1.k} vs k={f2.k})")
+    _require_equal_k(f1, f2)
     return ds(f2).ds - ds(f1).ds

@@ -235,7 +235,7 @@ def test_criterion_5_property_suites():
         for f1 in members:
             for f2 in members:
                 report = compare_all(f1, f2)
-                series = [report.value(name) for name in MEASURE_NAMES]
+                series = [getattr(report, name) for name in MEASURE_NAMES]
                 if report.kl_sqrt is not None:
                     assert report.kl_sqrt >= 0.0
                 if f1.counts == f2.counts:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from distshift import MEASURE_NAMES
 from distshift.cli import main
 
 from test_shift import A33_CUMULATIVE
@@ -144,6 +145,10 @@ def test_compare_json(capsys):
     assert payload["chi_square"] == "undefined"
     assert payload["undefined_flags"] == ["chi_square", "kl_sqrt"]
     assert payload["rds"] == 0.0
+    code, out, _ = run(capsys, "compare", "--a", "1,1,1", "--b", "1,0,2", "--format", "json")
+    payload = json.loads(out)
+    assert payload["kl_sqrt"] == "undefined" and payload["chi_square"] != "undefined"
+    assert payload["undefined_flags"] == ["kl_sqrt"]
 
 
 def test_card(capsys):
@@ -351,10 +356,18 @@ def test_fork_undefined_cells(capsys):
     assert any(c != "undefined" for c in cells)
 
 
-def test_fork_rejects_unknown_measure(capsys):
-    code, out, err = run(capsys, "fork", *EXPERIMENT_ARGS, "--measure", "bogus")
-    assert code == 1 and out == ""
-    assert "abs_rds" in err
+def test_fork_rejects_unknown_measure(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the experiment ran before the measure was checked")
+
+    monkeypatch.setattr("distshift.cli.run_experiment", refuse)
+    with pytest.raises(SystemExit) as info:
+        main(["fork", *EXPERIMENT_ARGS, "--measure", "bogus"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bogus" in captured.err
+    assert all(name in captured.err for name in MEASURE_NAMES)
 
 
 def test_unknown_command_is_usage_error():

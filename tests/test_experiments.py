@@ -6,12 +6,9 @@ import pytest
 
 from distshift import (
     ExperimentConfig,
-    FrequencyDistribution,
     MEASURE_NAMES,
-    UndefinedMeasureError,
     ValidationError,
     compare_all,
-    export_fork_data,
     fit_through_origin,
     run_experiment,
     sample_poisson_distribution,
@@ -38,7 +35,6 @@ def feasible_config(**overrides):
         {"num_pairs": 0},
         {"seed": -1},
         {"seed": 2**64},
-        {"undefined_policy": "ignore"},
     ],
 )
 def test_config_validation(overrides):
@@ -166,30 +162,6 @@ def test_table_drop_accounting():
     assert involving_chi.dropped_count == nan_count
 
 
-def test_fail_policy_reports_first_undefined_pair():
-    config = feasible_config(n=4, k=4, num_pairs=200, seed=5)
-    table = run_experiment(config)
-    undefined_rows = np.isnan(table.series["chi_square"]) | np.isnan(table.series["kl_sqrt"])
-    first = int(np.flatnonzero(undefined_rows)[0])
-    with pytest.raises(UndefinedMeasureError) as info:
-        run_experiment(feasible_config(n=4, k=4, num_pairs=200, seed=5,
-                                       undefined_policy="fail"))
-    assert info.value.pair_index == first
-    assert info.value.names <= {"chi_square", "kl_sqrt"}
-    f1, f2 = FrequencyDistribution(info.value.f1), FrequencyDistribution(info.value.f2)
-    assert compare_all(f1, f2).undefined_flags == info.value.names
-
-
-def test_fail_policy_finds_same_pair_across_thread_counts():
-    config = feasible_config(n=4, k=4, num_pairs=200, seed=5, undefined_policy="fail")
-    indexes = set()
-    for threads in (1, 4):
-        with pytest.raises(UndefinedMeasureError) as info:
-            run_experiment(config, threads=threads)
-        indexes.add(info.value.pair_index)
-    assert len(indexes) == 1
-
-
 def test_pair_roles_are_exchangeable():
     rng = np.random.default_rng(21)
     xs, ys, xs_swapped, ys_swapped = [], [], [], []
@@ -217,30 +189,21 @@ def test_pair_roles_are_exchangeable():
 def test_fork_export_and_sign_balance():
     config = feasible_config(num_pairs=2000, seed=31)
     table = run_experiment(config)
-    rows = export_fork_data(table, "emd")
-    assert len(rows) == config.num_pairs
-    signs = [math.copysign(1, r) for _, r in rows if r != 0]
-    positive = sum(1 for s in signs if s > 0)
+    assert list(table.series) == list(MEASURE_NAMES)
+    assert len(table.series["emd"]) == len(table.signed_rds) == config.num_pairs
+    signs = np.sign(table.signed_rds[table.signed_rds != 0])
+    positive = int((signs > 0).sum())
     negative = len(signs) - positive
     assert abs(positive - negative) < 4 * math.sqrt(len(signs))
-    values = np.array([v for v, _ in rows])
-    assert np.array_equal(values, table.series["emd"])
+    assert np.array_equal(table.series["abs_rds"], np.abs(table.signed_rds))
 
 
 def test_fork_export_carries_undefined_as_none():
     table = run_experiment(feasible_config(n=5, k=5, num_pairs=300, seed=7))
-    rows = export_fork_data(table, "kl_sqrt")
-    assert any(v is None for v, _ in rows)
-    undefined_count = sum(1 for v, _ in rows if v is None)
-    assert undefined_count == int(np.isnan(table.series["kl_sqrt"]).sum())
-
-
-def test_fork_export_rejects_unknown_measure():
-    table = run_experiment(feasible_config(num_pairs=10))
-    with pytest.raises(ValueError) as info:
-        export_fork_data(table, "bogus")
-    for name in MEASURE_NAMES:
-        assert name in str(info.value)
+    undefined = np.isnan(table.series["kl_sqrt"])
+    assert undefined.any() and not undefined.all()
+    assert table.summaries[("abs_rds", "kl_sqrt")].dropped_count == int(undefined.sum())
+    assert not np.isnan(table.signed_rds).any()
 
 
 def test_fit_through_origin_golden():
@@ -272,7 +235,7 @@ def test_table_serialization_shapes():
     table = run_experiment(feasible_config(num_pairs=50))
     payload = table.to_json_dict()
     assert list(payload["config"]) == [
-        "source", "n", "k", "num_pairs", "seed", "lam", "undefined_policy", "stream_version"
+        "source", "n", "k", "num_pairs", "seed", "lam", "stream_version"
     ]
     assert payload["config"]["source"] == "feasible_set"
     assert payload["config"]["stream_version"] == STREAM_VERSION

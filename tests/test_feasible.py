@@ -184,15 +184,15 @@ def test_audit_rejects_bad_exponents_and_oversize():
 
 
 def test_audit_truncation_knobs():
-    report = audit_uniqueness(10, 5, 1, max_collisions=3, witnesses_per_value=2)
+    report = audit_uniqueness(10, 5, 1, max_collisions=3)
     assert report.collision_count > 3
     assert len(report.collisions) == 3
-    assert all(len(rec.members) <= 2 for rec in report.collisions)
-    assert all(rec.count >= 2 for rec in report.collisions)
+    assert feasible.WITNESSES_PER_VALUE == 4
+    assert all(2 <= len(rec.members) == min(rec.count, 4) for rec in report.collisions)
+    assert any(rec.count > 4 for rec in report.collisions)
     assert audit_uniqueness(10, 5, 1, max_collisions=0).collisions == ()
-    for bad in [{"max_collisions": -1}, {"witnesses_per_value": 1}, {"witnesses_per_value": 0}]:
-        with pytest.raises(ValidationError):
-            audit_uniqueness(10, 5, 1, **bad)
+    with pytest.raises(ValidationError):
+        audit_uniqueness(10, 5, 1, max_collisions=-1)
 
 
 def test_audit_report_serialization():
