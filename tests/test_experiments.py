@@ -15,6 +15,7 @@ from distshift import (
     sample_uniform,
 )
 from distshift import experiments
+from distshift.cli import build_parser
 from distshift.experiments import STREAM_VERSION
 
 from oracles import truncated_poisson_pmf
@@ -204,6 +205,19 @@ def test_fork_export_carries_undefined_as_none():
     assert undefined.any() and not undefined.all()
     assert table.summaries[("abs_rds", "kl_sqrt")].dropped_count == int(undefined.sum())
     assert not np.isnan(table.signed_rds).any()
+
+
+def test_fork_export_rejects_unknown_measure(capsys):
+    table = run_experiment(feasible_config(num_pairs=10))
+    parser = build_parser()
+    fork = ["fork", "--source", "feasible", "-n", "30", "-k", "5", "--pairs", "10", "--seed", "123"]
+    for name in table.series:
+        assert parser.parse_args([*fork, "--measure", name]).measure == name
+    with pytest.raises(SystemExit):
+        parser.parse_args([*fork, "--measure", "bogus"])
+    err = capsys.readouterr().err
+    for name in MEASURE_NAMES:
+        assert name in err
 
 
 def test_fit_through_origin_golden():
