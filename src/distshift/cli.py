@@ -2,12 +2,15 @@
 
 Subcommands cover single-shot shift values (ds, rds), the full measure
 report (compare), feasible-set tools (card, enum, sample, uniq), and the
-correlation experiments (experiment, fork). Data goes to stdout or the
-selected output file; diagnostics go to stderr; the exit code is 0 only
-when no error was emitted. Machine formats render numbers with 12
-significant digits, human text with 4. An exponent (ds --z, uniq --z) is
-read exactly as the rational an integer, p/q or decimal names; uniq
-reports it in that form ("3/2").
+correlation experiments (experiment, fork). The library returns
+dataclasses; this module alone renders them. ``--format`` picks text,
+JSON or CSV in one place (``_emit``), and every result goes through one
+sink (``_write_output``) to stdout or the selected output file.
+Diagnostics go to stderr; the exit code is 0 only when no error was
+emitted. Machine formats render numbers with 12 significant digits,
+human text with 4. An exponent (ds --z, uniq --z) is read exactly as the
+rational an integer, p/q or decimal names; uniq reports it in that form
+("3/2").
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +28,7 @@ from .distributions import (
     ValidationError,
     parse_distributions,
 )
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import STREAM_VERSION, ExperimentConfig, run_experiment
 from .feasible import (
     DEFAULT_CAP,
     audit_uniqueness,
@@ -57,14 +61,26 @@ def _round12(value):
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(_round12(payload), indent=2) + "\n"
+    return json.dumps(_round12(payload), indent=2)
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(lines, path: str | None) -> None:
+    """Write each line and a newline to path, or to stdout for None or "-"."""
+    text = (line + "\n" for line in lines)
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(text)
+
+
+def _emit(args, payload, text, csv=None) -> None:
+    """Write one result to --out: payload as JSON, or the text or csv lines."""
+    if args.format == "json":
+        lines = [_dump_json(payload)]
+    else:
+        lines = csv if args.format == "csv" else text
+    _write_output(lines, args.out)
 
 
 def _parse_seed(text: str) -> int:
@@ -101,34 +117,20 @@ def _load_single(inline: str | None, path: str | None, fmt: str, label: str) -> 
     return dists[0]
 
 
-def _check_expectations(f: FrequencyDistribution, args) -> None:
-    expect_n = getattr(args, "expect_n", None)
-    expect_k = getattr(args, "expect_k", None)
-    if expect_n is not None and f.n != expect_n:
-        raise DistributionError(f"expected n={expect_n}, parsed n={f.n}")
-    if expect_k is not None and f.k != expect_k:
-        raise DistributionError(f"expected k={expect_k}, parsed k={f.k}")
-
-
 def _cmd_ds(args) -> int:
     f = _load_single(args.inline, args.input, args.input_format, "input")
-    _check_expectations(f, args)
+    if args.expect_n is not None and f.n != args.expect_n:
+        raise DistributionError(f"expected n={args.expect_n}, parsed n={f.n}")
+    if args.expect_k is not None and f.k != args.expect_k:
+        raise DistributionError(f"expected k={args.expect_k}, parsed k={f.k}")
     if args.linear:
         value = ds_linear(f)
     elif args.z is not None:
         value = ds_with_exponent(f, _parse_exponent(args.z))
     else:
         value = ds(f)
-    if args.format == "json":
-        _write_output(
-            _dump_json({"ds": value.ds, "z_used": value.z_used, "n": value.n, "k": value.k}),
-            args.out,
-        )
-    else:
-        _write_output(
-            f"ds = {_human(value.ds)}  (z = {_human(value.z_used)}, n = {value.n}, k = {value.k})\n",
-            args.out,
-        )
+    text = f"ds = {_human(value.ds)}  (z = {_human(value.z_used)}, n = {value.n}, k = {value.k})"
+    _emit(args, asdict(value), [text])
     return 0
 
 
@@ -136,10 +138,7 @@ def _cmd_rds(args) -> int:
     f1 = _load_single(args.a, args.a_file, args.input_format, "--a")
     f2 = _load_single(args.b, args.b_file, args.input_format, "--b")
     value = rds(f1, f2)
-    if args.format == "json":
-        _write_output(_dump_json({"rds": value, "k1": f1.k, "k2": f2.k}), args.out)
-    else:
-        _write_output(f"rds = {_human(value)}\n", args.out)
+    _emit(args, {"rds": value, "k1": f1.k, "k2": f2.k}, [f"rds = {_human(value)}"])
     return 0
 
 
@@ -149,40 +148,25 @@ def _cmd_compare(args) -> int:
     report = compare_all(f1, f2)
     fields = ["rds"] + list(MEASURE_NAMES)
     values = {name: getattr(report, name) for name in fields}
-    if args.format == "json":
-        payload = {
-            name: ("undefined" if v is None else v) for name, v in values.items()
-        }
-        payload["undefined_flags"] = sorted(name for name, v in values.items() if v is None)
-        _write_output(_dump_json(payload), args.out)
-    elif args.format == "csv":
-        header = ",".join(fields)
-        row = ",".join("undefined" if values[n] is None else _machine(values[n]) for n in fields)
-        _write_output(header + "\n" + row + "\n", args.out)
-    else:
-        lines = [
-            f"{name:18s} {'undefined' if v is None else _human(v)}"
-            for name, v in values.items()
-        ]
-        _write_output("\n".join(lines) + "\n", args.out)
+    payload = {name: ("undefined" if v is None else v) for name, v in values.items()}
+    payload["undefined_flags"] = sorted(name for name, v in values.items() if v is None)
+    text = [f"{name:18s} {'undefined' if v is None else _human(v)}" for name, v in values.items()]
+    row = ",".join("undefined" if v is None else _machine(v) for v in values.values())
+    _emit(args, payload, text, csv=[",".join(fields), row])
     return 0
 
 
 def _cmd_card(args) -> int:
-    _write_output(f"{cardinality(args.n, args.k)}\n", args.out)
+    _write_output([str(cardinality(args.n, args.k))], args.out)
     return 0
 
 
 def _cmd_enum(args) -> int:
-    stream = enumerate_members(args.n, args.k, cap=args.cap)
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8")
-    try:
-        for member in stream:
-            row = member.totals if args.cumulative else member.counts
-            out.write(",".join(str(c) for c in row) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows = (
+        ",".join(map(str, member.totals if args.cumulative else member.counts))
+        for member in enumerate_members(args.n, args.k, cap=args.cap)
+    )
+    _write_output(rows, args.out)
     return 0
 
 
@@ -190,11 +174,10 @@ def _cmd_sample(args) -> int:
     import numpy as np
 
     rng = np.random.default_rng(args.seed)
-    lines = []
-    for _ in range(args.count):
-        member = sample_uniform(args.n, args.k, rng)
-        lines.append(",".join(str(c) for c in member.counts))
-    _write_output("\n".join(lines) + "\n", args.out)
+    lines = [
+        ",".join(map(str, sample_uniform(args.n, args.k, rng).counts)) for _ in range(args.count)
+    ]
+    _write_output(lines, args.out)
     return 0
 
 
@@ -208,19 +191,18 @@ def _cmd_uniq(args) -> int:
         report = audit_uniqueness(
             args.n, args.k, z, cap=args.cap, max_collisions=args.max_collisions
         )
-    if args.format == "json":
-        _write_output(_dump_json(report.to_json_dict()), args.out)
-    elif args.format == "csv":
-        _write_output("n,k,z,total,unique\n" + report.csv_summary() + "\n", args.out)
-    else:
-        lines = [
-            f"{report.unique_values} unique / {report.total} "
-            f"(n={report.n}, k={report.k}, z={report.z})"
-        ]
-        for rec in report.collisions:
-            members = "; ".join("[" + ",".join(map(str, m)) + "]" for m in rec.members)
-            lines.append(f"value {_human(rec.value)} shared by {rec.count}: {members}")
-        _write_output("\n".join(lines) + "\n", args.out)
+    text = [
+        f"{report.unique_values} unique / {report.total} "
+        f"(n={report.n}, k={report.k}, z={report.z})"
+    ]
+    for rec in report.collisions:
+        members = "; ".join("[" + ",".join(map(str, m)) + "]" for m in rec.members)
+        text.append(f"value {_human(rec.value)} shared by {rec.count}: {members}")
+    csv = [
+        "n,k,z,total,unique",
+        f"{report.n},{report.k},{report.z},{report.total},{report.unique_values}",
+    ]
+    _emit(args, dict(asdict(report), z=str(report.z)), text, csv=csv)
     return 0
 
 
@@ -232,15 +214,26 @@ def _experiment_config(args) -> ExperimentConfig:
         k=args.k,
         num_pairs=args.pairs,
         seed=args.seed,
-        lam=getattr(args, "lam", None),
+        lam=args.lam,
     )
 
 
 def _cmd_experiment(args) -> int:
     table = run_experiment(_experiment_config(args), threads=args.threads)
-    _write_output(table.r2_csv(), args.csv_out)
+    csv = ["measure," + ",".join(MEASURE_NAMES)]
+    for x in MEASURE_NAMES:
+        csv.append(x + "," + ",".join(_machine(table.r_squared(x, y)) for y in MEASURE_NAMES))
+    _write_output(csv, args.csv_out)
     if args.json_out is not None:
-        _write_output(_dump_json(table.to_json_dict()), args.json_out)
+        payload = {
+            "config": dict(asdict(table.config), stream_version=STREAM_VERSION),
+            "measure_names": list(MEASURE_NAMES),
+            "r_squared": {
+                x: {y: asdict(table.summaries[(x, y)]) for y in MEASURE_NAMES}
+                for x in MEASURE_NAMES
+            },
+        }
+        _write_output([_dump_json(payload)], args.json_out)
     return 0
 
 
@@ -250,13 +243,22 @@ def _cmd_fork(args) -> int:
     for value, signed in zip(table.series[args.measure], table.signed_rds):
         cell = "undefined" if math.isnan(value) else _machine(value)
         lines.append(f"{cell},{_machine(signed)}")
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output(lines, args.out)
     return 0
+
+
+def _add_nk(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-n", type=int, required=True, help="observations per distribution")
+    p.add_argument("-k", type=int, required=True, help="number of bins")
+
+
+def _add_out(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
 def _add_output_options(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
     p.add_argument("--format", choices=formats, default="text", help="output format")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    _add_out(p)
 
 
 def _add_pair_inputs(p: argparse.ArgumentParser) -> None:
@@ -271,8 +273,7 @@ def _add_pair_inputs(p: argparse.ArgumentParser) -> None:
 
 def _add_experiment_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--source", choices=("feasible", "poisson"), required=True)
-    p.add_argument("-n", type=int, required=True, help="observations per distribution")
-    p.add_argument("-k", type=int, required=True, help="number of bins")
+    _add_nk(p)
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="Poisson rate")
     p.add_argument("--pairs", type=int, required=True, help="number of random pairs")
     p.add_argument("--seed", type=_parse_seed, required=True, help="unsigned 64-bit seed")
@@ -316,30 +317,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("card", help="exact cardinality of the feasible set A(n, k)")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--out", default=None)
+    _add_nk(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_card)
 
     p = sub.add_parser("enum", help="stream every member of A(n, k) as CSV rows")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
+    _add_nk(p)
     p.add_argument("--cumulative", action="store_true", help="emit cumulative totals")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="refuse sets larger than this")
-    p.add_argument("--out", default=None)
+    _add_out(p)
     p.set_defaults(func=_cmd_enum)
 
     p = sub.add_parser("sample", help="draw uniform random members of A(n, k)")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
+    _add_nk(p)
     p.add_argument("--count", type=_parse_count, default=1, help="number of draws (at least 1)")
     p.add_argument("--seed", type=_parse_seed, required=True, help="unsigned 64-bit seed")
-    p.add_argument("--out", default=None)
+    _add_out(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("uniq", help="audit uniqueness of shift values over A(n, k)")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
+    _add_nk(p)
     p.add_argument(
         "--z",
         default=None,
@@ -360,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fork", help="export (measure, signed rds) scatter data")
     _add_experiment_options(p)
     p.add_argument("--measure", choices=MEASURE_NAMES, required=True, help="series to export")
-    p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
+    _add_out(p)
     p.set_defaults(func=_cmd_fork)
 
     return parser
@@ -371,7 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DistributionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -39,7 +39,7 @@ class ExperimentConfig:
     k: int
     num_pairs: int
     seed: int
-    lam: float | None = None  # Poisson rate, required for source="poisson"
+    lam: float | None = None  # Poisson rate, required for source="poisson" and refused otherwise
 
     def __post_init__(self):
         if self.source not in SOURCES:
@@ -49,8 +49,15 @@ class ExperimentConfig:
             raise ValidationError(f"num_pairs must be at least 1, got {self.num_pairs}")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
-        if self.source == "poisson" and (self.lam is None or not self.lam > 0):
-            raise ValidationError("poisson source requires lam > 0")
+        if self.source == "poisson":
+            _validate_lam(self.lam)
+        elif self.lam is not None:
+            raise ValidationError(f"lam applies only to the poisson source, got lam={self.lam}")
+
+
+def _validate_lam(lam) -> None:
+    if lam is None or not 0 < lam < math.inf:
+        raise ValidationError(f"lam must be positive and finite, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -75,21 +82,6 @@ class CorrelationTable:
     def r_squared(self, x: str, y: str) -> float:
         return self.summaries[(x, y)].r_squared
 
-    def to_json_dict(self) -> dict:
-        matrix = {
-            x: {y: asdict(self.summaries[(x, y)]) for y in MEASURE_NAMES} for x in MEASURE_NAMES
-        }
-        cfg = dict(asdict(self.config), stream_version=STREAM_VERSION)
-        return {"config": cfg, "measure_names": list(MEASURE_NAMES), "r_squared": matrix}
-
-    def r2_csv(self) -> str:
-        """CSV matrix of r-squared values, rows and columns in series order."""
-        lines = ["measure," + ",".join(MEASURE_NAMES)]
-        for x in MEASURE_NAMES:
-            cells = (format(self.summaries[(x, y)].r_squared, ".12g") for y in MEASURE_NAMES)
-            lines.append(x + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
-
 
 def sample_poisson_distribution(lam: float, n: int, k: int, seed) -> FrequencyDistribution:
     """Bin n draws from Poisson(lam) conditioned on values below k.
@@ -98,8 +90,7 @@ def sample_poisson_distribution(lam: float, n: int, k: int, seed) -> FrequencyDi
     Poisson pmf restricted to 0..k-1 and renormalised, so the counts are
     one multinomial draw from that pmf and always sum to n exactly.
     """
-    if not lam > 0:
-        raise ValidationError(f"lam must be positive, got {lam}")
+    _validate_lam(lam)
     _validate_nk(n, k)
     # normalised in log space: at large lam every term of the pmf underflows
     log_pmf = np.array([v * math.log(lam) - lam - math.lgamma(v + 1) for v in range(k)])
@@ -150,17 +141,9 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
     rows = np.concatenate([p[0] for p in parts])
     signed = np.concatenate([p[1] for p in parts])
     series = {name: rows[:, j].copy() for j, name in enumerate(MEASURE_NAMES)}
-    summaries: dict[tuple[str, str], RegressionSummary] = {}
-    for x in MEASURE_NAMES:
-        for y in MEASURE_NAMES:
-            xs, ys = series[x], series[y]
-            mask = np.isfinite(xs) & np.isfinite(ys)
-            kept = int(mask.sum())
-            if kept < 2:
-                summaries[(x, y)] = RegressionSummary(0.0, 0.0, kept, num - kept, degenerate=True)
-                continue
-            fit = fit_through_origin(xs[mask], ys[mask])
-            summaries[(x, y)] = replace(fit, dropped_count=num - kept)
+    summaries = {
+        (x, y): fit_through_origin(series[x], series[y]) for x in MEASURE_NAMES for y in MEASURE_NAMES
+    }
     return CorrelationTable(config=config, summaries=summaries, series=series, signed_rds=signed)
 
 
@@ -183,20 +166,23 @@ def fit_through_origin(xs, ys) -> RegressionSummary:
     r_squared here is the squared cosine similarity (Σxy)² / (Σx² Σy²),
     the share of the response captured by a pure proportionality; it is
     symmetric in the two series and equals 1 exactly when ys is a scalar
-    multiple of xs. An all-zero series yields a degenerate summary.
+    multiple of xs. A pair with a non-finite value (NaN marks an undefined
+    measure) is dropped and counted in ``dropped_count``; fewer than 2
+    kept points or an all-zero series yields a degenerate summary.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValidationError("series must be 1-D and of equal length")
-    if len(xs) < 2:
-        raise ValidationError(f"need at least 2 points, got {len(xs)}")
+    mask = np.isfinite(xs) & np.isfinite(ys)
+    xs, ys = xs[mask], ys[mask]
+    kept, dropped = len(xs), len(mask) - len(xs)
     sxx = float(xs @ xs)
     syy = float(ys @ ys)
     sxy = float(xs @ ys)
-    if sxx <= 0.0 or syy <= 0.0:
-        return RegressionSummary(0.0, 0.0, len(xs), degenerate=True)
+    if kept < 2 or sxx <= 0.0 or syy <= 0.0:
+        return RegressionSummary(0.0, 0.0, kept, dropped, degenerate=True)
     slope = sxy / sxx
     r_squared = min(sxy * sxy / (sxx * syy), 1.0)
-    return RegressionSummary(slope, r_squared, len(xs))
+    return RegressionSummary(slope, r_squared, kept, dropped)
 

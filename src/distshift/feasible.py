@@ -167,23 +167,6 @@ class UniquenessReport:
     def fully_unique(self) -> bool:
         return self.unique_values == self.total
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "z": str(self.z),
-            "total": self.total,
-            "unique_values": self.unique_values,
-            "collision_count": self.collision_count,
-            "collisions": [
-                {"value": c.value, "count": c.count, "members": [list(m) for m in c.members]}
-                for c in self.collisions
-            ],
-        }
-
-    def csv_summary(self) -> str:
-        return f"{self.n},{self.k},{self.z},{self.total},{self.unique_values}"
-
 
 def audit_uniqueness(
     n: int,

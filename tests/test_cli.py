@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import pytest
 
 from distshift import MEASURE_NAMES
 from distshift.cli import main
+from distshift.experiments import STREAM_VERSION
 
 from test_shift import A33_CUMULATIVE
 
@@ -227,14 +229,21 @@ def test_uniq_csv_default_exponent(capsys):
     code, out, _ = run(capsys, "uniq", "-n", "3", "-k", "3", "--format", "csv")
     assert code == 0
     assert out == "n,k,z,total,unique\n3,3,4/3,10,10\n"
+    code, out, _ = run(capsys, "uniq", "-n", "3", "-k", "3", "--z", "1", "--format", "csv")
+    assert code == 0 and out == "n,k,z,total,unique\n3,3,1,10,7\n"
+    code, out, _ = run(capsys, "uniq", "-n", "10", "-k", "5", "--format", "csv")
+    assert code == 0 and out == "n,k,z,total,unique\n10,5,6/5,1001,1001\n"
 
 
 def test_uniq_json(capsys):
     code, out, _ = run(capsys, "uniq", "-n", "3", "-k", "3", "--z", "1",
                        "--format", "json")
     payload = json.loads(out)
+    assert list(payload) == [
+        "n", "k", "z", "total", "unique_values", "collision_count", "collisions"
+    ]
     assert payload["z"] == "1"
-    assert payload["total"] == 10 and payload["unique_values"] == 7
+    assert payload["n"] == 3 and payload["total"] == 10 and payload["unique_values"] == 7
     assert payload["collision_count"] == 3
     assert payload["collisions"][0]["members"] == [[0, 2, 3], [1, 1, 3]]
 
@@ -292,9 +301,10 @@ EXPERIMENT_ARGS = ("--source", "feasible", "-n", "20", "-k", "5",
 def test_experiment_csv_matrix(capsys):
     code, out, err = run(capsys, "experiment", *EXPERIMENT_ARGS)
     assert code == 0 and err == ""
+    assert out.endswith("\n")
     lines = out.strip().split("\n")
-    assert lines[0].startswith("measure,abs_rds,")
-    assert len(lines) == 8
+    assert lines[0] == "measure," + ",".join(MEASURE_NAMES)
+    assert len(lines) == 1 + len(MEASURE_NAMES)
     diag = lines[1].split(",")
     assert diag[0] == "abs_rds" and float(diag[1]) == 1.0
 
@@ -319,18 +329,40 @@ def test_experiment_json_output(tmp_path, capsys):
                        "--csv-out", str(tmp_path / "m.csv"), "--json-out", str(target))
     assert code == 0
     payload = json.loads(target.read_text())
+    assert list(payload["config"]) == [
+        "source", "n", "k", "num_pairs", "seed", "lam", "stream_version"
+    ]
+    assert payload["config"]["source"] == "feasible_set"
+    assert payload["config"]["stream_version"] == STREAM_VERSION
     assert payload["config"]["num_pairs"] == 200
-    assert payload["measure_names"][0] == "abs_rds"
+    assert payload["measure_names"] == list(MEASURE_NAMES)
+    assert list(payload["r_squared"]["ks"]["emd"]) == [
+        "slope", "r_squared", "sample_count", "dropped_count", "degenerate"
+    ]
     assert payload["r_squared"]["ks"]["ks"]["r_squared"] == 1.0
+    assert payload["r_squared"]["emd"]["emd"]["r_squared"] == 1.0
 
 
 def test_experiment_poisson_requires_rate(capsys):
     code, out, err = run(capsys, "experiment", "--source", "poisson", "-n", "50",
                          "-k", "5", "--pairs", "20", "--seed", "1")
     assert code == 1 and out == "" and "lam" in err
+    for lam in ("inf", "nan", "0"):
+        code, out, err = run(capsys, "experiment", "--source", "poisson", "-n", "10",
+                             "-k", "3", "--pairs", "5", "--seed", "1", "--lambda", lam)
+        assert code == 1 and out == ""
+        assert err == f"error: lam must be positive and finite, got {float(lam)}\n"
     code, out, err = run(capsys, "experiment", "--source", "poisson", "-n", "50",
                          "-k", "5", "--pairs", "20", "--seed", "1", "--lambda", "5")
     assert code == 0 and err == ""
+
+
+def test_experiment_feasible_refuses_rate(tmp_path, capsys):
+    target = tmp_path / "table.json"
+    code, out, err = run(capsys, "experiment", *EXPERIMENT_ARGS, "--lambda", "5",
+                         "--json-out", str(target))
+    assert code == 1 and out == "" and not target.exists()
+    assert err == "error: lam applies only to the poisson source, got lam=5.0\n"
 
 
 def test_fork_csv(capsys):
@@ -374,3 +406,66 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def _digest(data: str | bytes) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+# Exact bytes of one invocation per command and format; long outputs by digest.
+# A change to the random stream updates the experiment and fork digests
+# together with STREAM_VERSION.
+GOLDEN = [
+    ("ds-text", ("ds", "--inline", "1,2,3"), "ds = 0.2443  (z = 1.333, n = 6, k = 3)\n"),
+    ("ds-json", ("ds", "--inline", "1,2,3", "--format", "json"),
+     '{\n  "ds": 0.244285232175,\n  "z_used": 1.33333333333,\n  "n": 6,\n  "k": 3\n}\n'),
+    ("rds-text", ("rds", "--a", "3,0,1", "--b", "0,1,3"), "rds = -0.6027\n"),
+    ("rds-json", ("rds", "--a", "3,0,1", "--b", "0,1,3", "--format", "json"),
+     '{\n  "rds": -0.602675156694,\n  "k1": 3,\n  "k2": 3\n}\n'),
+    ("compare-text", ("compare", "--a", "1,1,1", "--b", "1,0,2"),
+     "rds                -0.1756\nabs_rds            0.1756\nchi_square         0.2222\n"
+     "non_intersection   0.3333\nkl_sqrt            undefined\nks                 0.3333\n"
+     "emd                0.3333\nrps_sqrt           0.3333\n"),
+    ("compare-json", ("compare", "--a", "1,1,1", "--b", "1,0,2", "--format", "json"),
+     '{\n  "rds": -0.175633275854,\n  "abs_rds": 0.175633275854,\n'
+     '  "chi_square": 0.222222222222,\n  "non_intersection": 0.333333333333,\n'
+     '  "kl_sqrt": "undefined",\n  "ks": 0.333333333333,\n  "emd": 0.333333333333,\n'
+     '  "rps_sqrt": 0.333333333333,\n  "undefined_flags": [\n    "kl_sqrt"\n  ]\n}\n'),
+    ("compare-csv", ("compare", "--a", "1,1,1", "--b", "1,0,2", "--format", "csv"),
+     COMPARE_HEADER + "\n-0.175633275854,0.175633275854,0.222222222222,0.333333333333,"
+     "undefined,0.333333333333,0.333333333333,0.333333333333\n"),
+    ("uniq-text", ("uniq", "-n", "3", "-k", "3", "--z", "1"),
+     "7 unique / 10 (n=3, k=3, z=1)\nvalue 1.667 shared by 2: [0,2,3]; [1,1,3]\n"
+     "value 2 shared by 2: [0,3,3]; [1,2,3]\nvalue 2.333 shared by 2: [1,3,3]; [2,2,3]\n"),
+    ("uniq-json", ("uniq", "-n", "3", "-k", "3", "--z", "1", "--format", "json"),
+     "sha256:29cd0809d98c020381f87aa30a57551fc165f9d04dd8c84a0ed020c1f0fa2c34"),
+    ("uniq-csv", ("uniq", "-n", "3", "-k", "3", "--z", "1", "--format", "csv"),
+     "n,k,z,total,unique\n3,3,1,10,7\n"),
+    ("enum", ("enum", "-n", "3", "-k", "3"),
+     "0,0,3\n0,1,2\n0,2,1\n0,3,0\n1,0,2\n1,1,1\n1,2,0\n2,0,1\n2,1,0\n3,0,0\n"),
+    ("sample", ("sample", "-n", "10", "-k", "3", "--count", "5", "--seed", "99"),
+     "6,4,0\n7,1,2\n2,3,5\n0,10,0\n7,3,0\n"),
+    ("card", ("card", "-n", "10", "-k", "5"), "1001\n"),
+    ("fork", ("fork", *EXPERIMENT_ARGS, "--measure", "emd"),
+     "sha256:b92f11b379c84908204e50f22293dd204f46279dce190476a4e9784c58aa872e"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", [case[1:] for case in GOLDEN],
+                         ids=[case[0] for case in GOLDEN])
+def test_golden_bytes(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (_digest(out) if expected.startswith("sha256:") else out) == expected
+
+
+def test_experiment_golden_bytes(tmp_path, capsys):
+    target = tmp_path / "table.json"
+    code, out, err = run(capsys, "experiment", *EXPERIMENT_ARGS, "--json-out", str(target))
+    assert (code, err) == (0, "")
+    assert _digest(out) == "sha256:ba2c81b0c51123addac3c9d3a96a37757b00ebfd94f92b3d422656dec9356f1a"
+    assert _digest(target.read_bytes()) == (
+        "sha256:c46d8b8f50b71163a57df4fcd676a2f73ceea60843b13f622fb9cecbeea73b1f"
+    )

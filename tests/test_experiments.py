@@ -7,6 +7,7 @@ import pytest
 from distshift import (
     ExperimentConfig,
     MEASURE_NAMES,
+    RegressionSummary,
     ValidationError,
     compare_all,
     fit_through_origin,
@@ -16,7 +17,6 @@ from distshift import (
 )
 from distshift import experiments
 from distshift.cli import build_parser
-from distshift.experiments import STREAM_VERSION
 
 from oracles import truncated_poisson_pmf
 
@@ -36,6 +36,7 @@ def feasible_config(**overrides):
         {"num_pairs": 0},
         {"seed": -1},
         {"seed": 2**64},
+        {"lam": 5.0},
     ],
 )
 def test_config_validation(overrides):
@@ -44,8 +45,9 @@ def test_config_validation(overrides):
 
 
 def test_poisson_config_requires_rate():
-    with pytest.raises(ValidationError):
-        feasible_config(source="poisson")
+    for lam in (None, 0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="lam must be positive and finite"):
+            feasible_config(source="poisson", lam=lam)
     config = feasible_config(source="poisson", lam=5.0)
     assert config.lam == 5.0
 
@@ -62,8 +64,9 @@ def test_sample_poisson_collapses_as_rate_vanishes():
 
 
 def test_sample_poisson_rejects_bad_arguments():
-    with pytest.raises(ValidationError):
-        sample_poisson_distribution(0.0, 10, 3, seed=1)
+    for lam in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="lam must be positive and finite"):
+            sample_poisson_distribution(lam, 10, 3, seed=1)
     with pytest.raises(ValidationError):
         sample_poisson_distribution(5.0, 0, 3, seed=1)
     with pytest.raises(ValidationError):
@@ -230,6 +233,10 @@ def test_fit_through_origin_golden():
     assert orthogonal.slope == 0.0
     assert orthogonal.r_squared == 0.0
 
+    # a pair with a non-finite value is dropped and counted
+    fit = fit_through_origin([1.0, np.nan, 2.0, 3.0], [2.0, 5.0, 4.0, np.inf])
+    assert fit == RegressionSummary(2.0, 1.0, 2, 2)
+
 
 def test_fit_through_origin_r_squared_is_symmetric():
     rng = np.random.default_rng(8)
@@ -241,26 +248,10 @@ def test_fit_through_origin_r_squared_is_symmetric():
 def test_fit_through_origin_degenerate_cases():
     zero = fit_through_origin([0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
     assert zero.degenerate and zero.r_squared == 0.0
+    assert fit_through_origin([1.0], [2.0]) == RegressionSummary(0.0, 0.0, 1, 0, degenerate=True)
+    # a pair with a NaN is dropped, and one kept point is too few to fit
+    assert fit_through_origin([1.0, np.nan], [2.0, 3.0]) == RegressionSummary(
+        0.0, 0.0, 1, 1, degenerate=True
+    )
     with pytest.raises(ValidationError):
-        fit_through_origin([1.0], [2.0])
-
-
-def test_table_serialization_shapes():
-    table = run_experiment(feasible_config(num_pairs=50))
-    payload = table.to_json_dict()
-    assert list(payload["config"]) == [
-        "source", "n", "k", "num_pairs", "seed", "lam", "stream_version"
-    ]
-    assert payload["config"]["source"] == "feasible_set"
-    assert payload["config"]["stream_version"] == STREAM_VERSION
-    assert list(payload["r_squared"]["ks"]["emd"]) == [
-        "slope", "r_squared", "sample_count", "dropped_count", "degenerate"
-    ]
-    assert payload["measure_names"] == list(MEASURE_NAMES)
-    assert payload["r_squared"]["emd"]["emd"]["r_squared"] == 1.0
-
-    csv = table.r2_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "measure," + ",".join(MEASURE_NAMES)
-    assert len(lines) == 1 + len(MEASURE_NAMES)
-    assert csv.endswith("\n")
+        fit_through_origin([1.0, 2.0], [1.0])

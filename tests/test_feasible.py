@@ -1,4 +1,3 @@
-import json
 import math
 import time
 from collections import Counter
@@ -193,23 +192,6 @@ def test_audit_truncation_knobs():
     assert audit_uniqueness(10, 5, 1, max_collisions=0).collisions == ()
     with pytest.raises(ValidationError):
         audit_uniqueness(10, 5, 1, max_collisions=-1)
-
-
-def test_audit_report_serialization():
-    report = audit_uniqueness(3, 3, 1)
-    payload = report.to_json_dict()
-    assert json.loads(json.dumps(payload)) == payload
-    assert payload["n"] == 3 and payload["total"] == 10
-    assert payload["unique_values"] == 7
-    assert payload["collisions"][0]["members"] == [[0, 2, 3], [1, 1, 3]]
-    assert list(payload) == [
-        "n", "k", "z", "total", "unique_values", "collision_count", "collisions"
-    ]
-    assert payload["z"] == "1"
-    assert report.csv_summary() == "3,3,1,10,7"
-
-    default = audit_uniqueness_default(10, 5)
-    assert default.csv_summary() == "10,5,6/5,1001,1001"
 
 
 def test_root_decompositions_reconstruct_the_power():
