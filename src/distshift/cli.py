@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import ExitStack, nullcontext
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -64,14 +65,22 @@ def _dump_json(payload) -> str:
     return json.dumps(_round12(payload), indent=2)
 
 
+def _open_output(path: str | None):
+    """A context manager for the stream to write: stdout for None or "-",
+    else path, opened (and so checked) at once."""
+    if path is None or path == "-":
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
+def _write_lines(out, lines) -> None:
+    out.writelines(line + "\n" for line in lines)
+
+
 def _write_output(lines, path: str | None) -> None:
     """Write each line and a newline to path, or to stdout for None or "-"."""
-    text = (line + "\n" for line in lines)
-    if path is None or path == "-":
-        sys.stdout.writelines(text)
-    else:
-        with open(path, "w", encoding="utf-8") as out:
-            out.writelines(text)
+    with _open_output(path) as out:
+        _write_lines(out, lines)
 
 
 def _emit(args, payload, text, csv=None) -> None:
@@ -171,13 +180,8 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    import numpy as np
-
-    rng = np.random.default_rng(args.seed)
-    lines = [
-        ",".join(map(str, sample_uniform(args.n, args.k, rng).counts)) for _ in range(args.count)
-    ]
-    _write_output(lines, args.out)
+    rows = sample_uniform(args.n, args.k, args.seed, size=args.count).tolist()
+    _write_output((",".join(map(str, row)) for row in rows), args.out)
     return 0
 
 
@@ -219,31 +223,39 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _cmd_experiment(args) -> int:
-    table = run_experiment(_experiment_config(args), threads=args.threads)
-    csv = ["measure," + ",".join(MEASURE_NAMES)]
-    for x in MEASURE_NAMES:
-        csv.append(x + "," + ",".join(_machine(table.r_squared(x, y)) for y in MEASURE_NAMES))
-    _write_output(csv, args.csv_out)
-    if args.json_out is not None:
-        payload = {
-            "config": dict(asdict(table.config), stream_version=STREAM_VERSION),
-            "measure_names": list(MEASURE_NAMES),
-            "r_squared": {
-                x: {y: asdict(table.summaries[(x, y)]) for y in MEASURE_NAMES}
-                for x in MEASURE_NAMES
-            },
-        }
-        _write_output([_dump_json(payload)], args.json_out)
+    config = _experiment_config(args)
+    # outputs are opened before any pair is drawn, so a bad path costs no run
+    with ExitStack() as stack:
+        csv_out = stack.enter_context(_open_output(args.csv_out))
+        if args.json_out is not None:
+            json_out = stack.enter_context(_open_output(args.json_out))
+        table = run_experiment(config, threads=args.threads)
+        csv = ["measure," + ",".join(MEASURE_NAMES)]
+        for x in MEASURE_NAMES:
+            csv.append(x + "," + ",".join(_machine(table.r_squared(x, y)) for y in MEASURE_NAMES))
+        _write_lines(csv_out, csv)
+        if args.json_out is not None:
+            payload = {
+                "config": dict(asdict(table.config), stream_version=STREAM_VERSION),
+                "measure_names": list(MEASURE_NAMES),
+                "r_squared": {
+                    x: {y: asdict(table.summaries[(x, y)]) for y in MEASURE_NAMES}
+                    for x in MEASURE_NAMES
+                },
+            }
+            _write_lines(json_out, [_dump_json(payload)])
     return 0
 
 
 def _cmd_fork(args) -> int:
-    table = run_experiment(_experiment_config(args), threads=args.threads)
-    lines = [f"{args.measure},rds"]
-    for value, signed in zip(table.series[args.measure], table.signed_rds):
-        cell = "undefined" if math.isnan(value) else _machine(value)
-        lines.append(f"{cell},{_machine(signed)}")
-    _write_output(lines, args.out)
+    config = _experiment_config(args)
+    with _open_output(args.out) as out:
+        table = run_experiment(config, threads=args.threads)
+        lines = [f"{args.measure},rds"]
+        for value, signed in zip(table.series[args.measure], table.signed_rds):
+            cell = "undefined" if math.isnan(value) else _machine(value)
+            lines.append(f"{cell},{_machine(signed)}")
+        _write_lines(out, lines)
     return 0
 
 

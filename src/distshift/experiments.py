@@ -7,10 +7,12 @@ report; the seven series (|RDS|, chi-square, non-intersection, sqrt KL,
 KS, EMD, sqrt RPS) are then fitted pairwise with least-squares lines
 through the origin.
 
-Pair i is generated from its own generator derived from (seed, i), so a
-run is reproducible for a fixed config and can be partitioned across
-workers without changing any result. ``STREAM_VERSION`` names the
-random stream and changes whenever a seeded run would draw differently.
+Pair indices are cut into fixed blocks of ``BLOCK`` pairs. Block b draws
+all of its members in one call from its own generator, derived from
+(seed, b), and measures them in one batch, so a run is reproducible for
+a fixed config and can be partitioned across workers, block by block,
+without changing any result. ``STREAM_VERSION`` names the random stream
+and changes whenever a seeded run would draw differently.
 """
 from __future__ import annotations
 
@@ -24,12 +26,17 @@ import numpy as np
 
 from .distributions import FrequencyDistribution, ValidationError
 from .feasible import _validate_nk, sample_uniform
-from .measures import MEASURE_NAMES, compare_all
+from .measures import MEASURE_NAMES, _measure_columns
+from .measures import compare_all  # unused here; bench/workloads.py patches this name
 
 SOURCES = ("feasible_set", "poisson")
 #: Version of the seeded random stream, written to every JSON payload.
 #: 2: Poisson members are one multinomial draw instead of rejection sampling.
-STREAM_VERSION = 2
+#: 3: one generator per block of BLOCK pairs instead of one per pair, each
+#:    block drawing its members in one batch; uniform members by Floyd's algorithm.
+STREAM_VERSION = 3
+#: Pairs per block of the random stream; a constant, as it shapes the stream.
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -83,12 +90,16 @@ class CorrelationTable:
         return self.summaries[(x, y)].r_squared
 
 
-def sample_poisson_distribution(lam: float, n: int, k: int, seed) -> FrequencyDistribution:
+def sample_poisson_distribution(
+    lam: float, n: int, k: int, seed, size: int | None = None
+) -> FrequencyDistribution | np.ndarray:
     """Bin n draws from Poisson(lam) conditioned on values below k.
 
     n iid draws conditioned on being below k are n iid draws from the
     Poisson pmf restricted to 0..k-1 and renormalised, so the counts are
     one multinomial draw from that pmf and always sum to n exactly.
+    ``size=None`` returns one ``FrequencyDistribution``, the first row
+    of ``size=1``; an int returns a ``(size, k)`` int64 count array.
     """
     _validate_lam(lam)
     _validate_nk(n, k)
@@ -99,19 +110,16 @@ def sample_poisson_distribution(lam: float, n: int, k: int, seed) -> FrequencyDi
     total = weights.sum()
     if top + math.log(total) < math.log(1e-12):
         raise ValidationError(f"Poisson(lam={lam}) has negligible mass below k={k}")
-    counts = np.random.default_rng(seed).multinomial(n, weights / total)
-    return FrequencyDistribution(tuple(counts.tolist()))
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(n, weights / total, size=1 if size is None else size)
+    if size is None:
+        return FrequencyDistribution(tuple(counts[0].tolist()))
+    return counts
 
 
-def _pair_generator(seed: int, pair_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(pair_index,))
+def _block_generator(seed: int, block: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def _draw_member(config: ExperimentConfig, rng: np.random.Generator) -> FrequencyDistribution:
-    if config.source == "feasible_set":
-        return sample_uniform(config.n, config.k, rng)
-    return sample_poisson_distribution(config.lam, config.n, config.k, rng)
 
 
 def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> CorrelationTable:
@@ -122,22 +130,23 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
     the intercept is structurally zero and fitting one would only soak up
     curvature. An undefined chi-square or KL value is NaN in its series,
     and its pair is dropped only from the regressions that involve that
-    series; ``dropped_count`` says how many. ``threads`` partitions
-    pair indices into that many chunks, run by at most one process per
+    series; ``dropped_count`` says how many. ``threads`` partitions the
+    blocks of pairs into that many chunks, run by at most one process per
     CPU; results are independent of the partitioning.
     """
-    num = config.num_pairs
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
-    per = -(-num // threads)
-    los = range(0, num, per)
-    his = [min(lo + per, num) for lo in los]
-    if len(los) == 1:
-        parts = [_compute_pairs(config, 0, num)]
+    blocks = -(-config.num_pairs // BLOCK)
+    per = -(-blocks // threads)
+    firsts = range(0, blocks, per)
+    stops = [min(first + per, blocks) for first in firsts]
+    if len(firsts) == 1:
+        chunks = [_compute_blocks(config, 0, blocks)]
     else:
-        workers = min(threads, len(los), os.cpu_count() or 1)
+        workers = min(threads, len(firsts), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_compute_pairs, repeat(config), los, his))
+            chunks = list(pool.map(_compute_blocks, repeat(config), firsts, stops))
+    parts = [part for chunk in chunks for part in chunk]
     rows = np.concatenate([p[0] for p in parts])
     signed = np.concatenate([p[1] for p in parts])
     series = {name: rows[:, j].copy() for j, name in enumerate(MEASURE_NAMES)}
@@ -147,17 +156,24 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
     return CorrelationTable(config=config, summaries=summaries, series=series, signed_rds=signed)
 
 
-def _compute_pairs(config: ExperimentConfig, lo: int, hi: int):
-    """Measure rows (NaN where a value is undefined) and signed RDS for pairs lo..hi-1."""
-    rows = np.empty((hi - lo, len(MEASURE_NAMES)), dtype=np.float64)
-    signed = np.empty(hi - lo, dtype=np.float64)
-    for i in range(lo, hi):
-        rng = _pair_generator(config.seed, i)
-        report = compare_all(_draw_member(config, rng), _draw_member(config, rng))
-        signed[i - lo] = report.rds
-        values = (getattr(report, name) for name in MEASURE_NAMES)
-        rows[i - lo] = [np.nan if v is None else v for v in values]
-    return rows, signed
+def _compute_blocks(config: ExperimentConfig, first: int, stop: int):
+    """Measure rows (NaN where a value is undefined) and signed RDS, one
+    pair of arrays per block, for blocks first..stop-1.
+
+    Block b's generator draws its 2m members in one call, pair i of the
+    block being rows 2i and 2i+1. The samplers are looked up as module
+    globals at call time, so a wrapper set on this module sees each call.
+    """
+    parts = []
+    for block in range(first, stop):
+        m = min(BLOCK, config.num_pairs - block * BLOCK)
+        rng = _block_generator(config.seed, block)
+        if config.source == "feasible_set":
+            members = sample_uniform(config.n, config.k, rng, size=2 * m)
+        else:
+            members = sample_poisson_distribution(config.lam, config.n, config.k, rng, size=2 * m)
+        parts.append(_measure_columns(members[0::2], members[1::2]))
+    return parts
 
 
 def fit_through_origin(xs, ys) -> RegressionSummary:

@@ -110,36 +110,37 @@ def enumerate_members(n: int, k: int, cap: int = DEFAULT_CAP) -> Iterator[Freque
     return map(_fd_from_cumulative, _cumulative_forms(n, k))
 
 
-def sample_uniform(n: int, k: int, seed) -> FrequencyDistribution:
-    """Draw one member of A(n, k), each with probability 1/|A(n, k)|.
+def sample_uniform(
+    n: int, k: int, seed, size: int | None = None
+) -> FrequencyDistribution | np.ndarray:
+    """Draw members of A(n, k), each with probability 1/|A(n, k)|.
 
-    Draws a uniform (k-1)-subset of {1, ..., n+k-1} by sparse partial
-    Fisher-Yates and reads the gaps between the chosen separators as
+    Each row draws a uniform (k-1)-subset of the n+k-1 slots by Floyd's
+    algorithm, vectorised over rows (k-1 integer draws of ``size``
+    values each), and reads the gaps between the chosen separators as
     counts (stars and bars), so every composition is equally likely.
+    ``size=None`` returns one ``FrequencyDistribution``, the first row
+    of ``size=1``; an int returns a ``(size, k)`` int64 count array.
     ``seed`` may be an int or a numpy Generator; identical seeds produce
     identical draws.
     """
     _validate_nk(n, k)
     rng = np.random.default_rng(seed)
-    separators = _random_subset(rng, n + k - 1, k - 1)
-    counts = []
-    prev = 0
-    for s in separators:
-        counts.append(s - prev - 1)
-        prev = s
-    counts.append(n + k - 1 - prev)
-    return FrequencyDistribution(tuple(counts))
-
-
-def _random_subset(rng: np.random.Generator, m: int, r: int) -> list[int]:
-    """Sorted uniform r-subset of {1, ..., m} in O(r) time and space."""
-    state: dict[int, int] = {}
-    picked = []
-    for i in range(r):
-        j = int(rng.integers(i, m))
-        picked.append(state.get(j, j))
-        state[j] = state.get(i, i)
-    return sorted(p + 1 for p in picked)
+    slots = n + k - 1
+    rows = 1 if size is None else size
+    chosen = np.empty((rows, k + 1), dtype=np.int64)
+    chosen[:, 0], chosen[:, k] = -1, slots
+    # Floyd: for each slot j from n upwards, pick t in 0..j; take t unless
+    # it is already taken, and j itself then (j was never a candidate before)
+    for col, j in enumerate(range(n, slots), start=1):
+        t = rng.integers(0, j + 1, size=rows)
+        taken = (chosen[:, 1:col] == t[:, None]).any(axis=1)
+        chosen[:, col] = np.where(taken, j, t)
+    chosen[:, 1:k].sort(axis=1)
+    counts = np.diff(chosen, axis=1) - 1
+    if size is None:
+        return FrequencyDistribution(tuple(counts[0].tolist()))
+    return counts
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from distshift import MEASURE_NAMES
+from distshift import MEASURE_NAMES, sample_uniform
 from distshift.cli import main
-from distshift.experiments import STREAM_VERSION
+from distshift.experiments import BLOCK, STREAM_VERSION
 
 from test_shift import A33_CUMULATIVE
 
@@ -212,6 +212,20 @@ def test_sample_determinism_and_validity(capsys):
     assert all(sum(r) == 10 and len(r) == 3 and min(r) >= 0 for r in rows)
 
 
+def test_sample_draws_its_count_in_one_batch(capsys, monkeypatch):
+    calls = []
+
+    def batch(*args, **kwargs):
+        calls.append(kwargs.get("size"))
+        return sample_uniform(*args, **kwargs)
+
+    monkeypatch.setattr("distshift.cli.sample_uniform", batch)
+    code, out, _ = run(capsys, "sample", "-n", "10", "-k", "3", "--count", "5", "--seed", "99")
+    assert code == 0 and calls == [5]
+    first = tuple(int(c) for c in out.split("\n")[0].split(","))
+    assert first == tuple(sample_uniform(10, 3, 99, size=5)[0].tolist())
+
+
 def test_uniq_text_report(capsys):
     code, out, err = run(capsys, "uniq", "-n", "3", "-k", "3", "--z", "1")
     assert code == 0 and err == ""
@@ -316,11 +330,17 @@ def test_experiment_outputs_are_byte_identical(tmp_path, capsys):
         assert code == 0 and out == ""
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    threaded = tmp_path / "threaded.csv"
-    code, _, _ = run(capsys, "experiment", *EXPERIMENT_ARGS, "--threads", "2",
-                     "--csv-out", str(threaded))
-    assert code == 0
-    assert threaded.read_bytes() == paths[0].read_bytes()
+    # three blocks of the stream, so that two and three workers split them
+    spanning = ("--source", "feasible", "-n", "20", "-k", "5",
+                "--pairs", str(2 * BLOCK + 7), "--seed", "42")
+    outputs = set()
+    for threads in ("1", "2", "3"):
+        target = tmp_path / f"threads-{threads}.csv"
+        code, _, _ = run(capsys, "experiment", *spanning, "--threads", threads,
+                         "--csv-out", str(target))
+        assert code == 0
+        outputs.add(target.read_bytes())
+    assert len(outputs) == 1
 
 
 def test_experiment_json_output(tmp_path, capsys):
@@ -363,6 +383,20 @@ def test_experiment_feasible_refuses_rate(tmp_path, capsys):
                          "--json-out", str(target))
     assert code == 1 and out == "" and not target.exists()
     assert err == "error: lam applies only to the poisson source, got lam=5.0\n"
+
+
+def test_experiment_opens_outputs_before_drawing(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pairs were drawn before the outputs were opened")
+
+    monkeypatch.setattr("distshift.cli.run_experiment", refuse)
+    missing = tmp_path / "missing" / "t.json"
+    for command, flag in [("experiment", "--json-out"), ("experiment", "--csv-out"),
+                          ("fork", "--out")]:
+        extra = ["--measure", "emd"] if command == "fork" else []
+        code, out, err = run(capsys, command, *EXPERIMENT_ARGS, *extra, flag, str(missing))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "t.json" in err
 
 
 def test_fork_csv(capsys):
@@ -415,8 +449,8 @@ def _digest(data: str | bytes) -> str:
 
 
 # Exact bytes of one invocation per command and format; long outputs by digest.
-# A change to the random stream updates the experiment and fork digests
-# together with STREAM_VERSION.
+# A change to the random stream updates the sample line and the experiment
+# and fork digests together with STREAM_VERSION (these are version 3).
 GOLDEN = [
     ("ds-text", ("ds", "--inline", "1,2,3"), "ds = 0.2443  (z = 1.333, n = 6, k = 3)\n"),
     ("ds-json", ("ds", "--inline", "1,2,3", "--format", "json"),
@@ -446,10 +480,10 @@ GOLDEN = [
     ("enum", ("enum", "-n", "3", "-k", "3"),
      "0,0,3\n0,1,2\n0,2,1\n0,3,0\n1,0,2\n1,1,1\n1,2,0\n2,0,1\n2,1,0\n3,0,0\n"),
     ("sample", ("sample", "-n", "10", "-k", "3", "--count", "5", "--seed", "99"),
-     "6,4,0\n7,1,2\n2,3,5\n0,10,0\n7,3,0\n"),
+     "6,3,1\n5,5,0\n8,2,0\n6,4,0\n1,5,4\n"),
     ("card", ("card", "-n", "10", "-k", "5"), "1001\n"),
     ("fork", ("fork", *EXPERIMENT_ARGS, "--measure", "emd"),
-     "sha256:b92f11b379c84908204e50f22293dd204f46279dce190476a4e9784c58aa872e"),
+     "sha256:98ee5cac5dd1fc965a72dba16899401838a931e3eb658271f103aebe45249185"),
 ]
 
 
@@ -465,7 +499,7 @@ def test_experiment_golden_bytes(tmp_path, capsys):
     target = tmp_path / "table.json"
     code, out, err = run(capsys, "experiment", *EXPERIMENT_ARGS, "--json-out", str(target))
     assert (code, err) == (0, "")
-    assert _digest(out) == "sha256:ba2c81b0c51123addac3c9d3a96a37757b00ebfd94f92b3d422656dec9356f1a"
+    assert _digest(out) == "sha256:3fc9aab8671228e5fb25b0c475a88bdb87e2b6af8c262689d353c20608d0b994"
     assert _digest(target.read_bytes()) == (
-        "sha256:c46d8b8f50b71163a57df4fcd676a2f73ceea60843b13f622fb9cecbeea73b1f"
+        "sha256:d82fe27f1f05c1b229547a360bd2b2929e195929822a8faf1b184adb6d4efb74"
     )

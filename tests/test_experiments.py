@@ -6,6 +6,7 @@ import pytest
 
 from distshift import (
     ExperimentConfig,
+    FrequencyDistribution,
     MEASURE_NAMES,
     RegressionSummary,
     ValidationError,
@@ -19,6 +20,7 @@ from distshift import experiments
 from distshift.cli import build_parser
 
 from oracles import truncated_poisson_pmf
+from test_measures import assert_row_matches_report
 
 
 def feasible_config(**overrides):
@@ -79,16 +81,27 @@ def test_sample_poisson_matches_truncated_pmf():
     # a million aggregated draws against the analytic conditional pmf;
     # at lam=30 only 3.6e-9 of the Poisson mass lies below k
     samples, n = 10000, 100
-    for lam, k in [(5.0, 5), (30.0, 5)]:
+    for lam, k, batch in [(5.0, 5, False), (30.0, 5, False), (5.0, 5, True), (30.0, 5, True)]:
         rng = np.random.default_rng(314)
-        totals = np.zeros(k, dtype=np.int64)
-        for _ in range(samples):
-            totals += np.array(sample_poisson_distribution(lam, n, k, rng).counts)
+        if batch:
+            totals = sample_poisson_distribution(lam, n, k, rng, size=samples).sum(axis=0)
+        else:
+            totals = np.zeros(k, dtype=np.int64)
+            for _ in range(samples):
+                totals += np.array(sample_poisson_distribution(lam, n, k, rng).counts)
         draws = samples * n
         empirical = totals / draws
         expected = truncated_poisson_pmf(lam, k)
         stderr = np.sqrt(expected * (1 - expected) / draws)
-        assert np.all(np.abs(empirical - expected) <= 3 * stderr), (lam, k)
+        assert np.all(np.abs(empirical - expected) <= 3 * stderr), (lam, k, batch)
+
+
+def test_sample_poisson_batch_shape():
+    rows = sample_poisson_distribution(5.0, 40, 6, seed=9, size=25)
+    assert rows.shape == (25, 6) and rows.dtype == np.int64
+    assert (rows >= 0).all() and (rows.sum(axis=1) == 40).all()
+    one = sample_poisson_distribution(5.0, 40, 6, seed=9)
+    assert one.counts == tuple(sample_poisson_distribution(5.0, 40, 6, seed=9, size=1)[0].tolist())
 
 
 def test_run_experiment_is_deterministic():
@@ -101,17 +114,55 @@ def test_run_experiment_is_deterministic():
     assert one.summaries == two.summaries
 
 
+#: Three blocks, the last one short, so that partitions have something to split.
+SPANNING_PAIRS = 2 * experiments.BLOCK + 7
+
+
 def test_run_experiment_threads_do_not_change_results():
     for source in [{}, {"source": "poisson", "lam": 5.0}]:
-        config = feasible_config(num_pairs=250, **source)
+        config = feasible_config(num_pairs=SPANNING_PAIRS, **source)
         serial = run_experiment(config, threads=1)
-        parallel = run_experiment(config, threads=3)
-        for name in MEASURE_NAMES:
-            assert np.array_equal(serial.series[name], parallel.series[name], equal_nan=True)
-        assert np.array_equal(serial.signed_rds, parallel.signed_rds)
-        assert serial.summaries == parallel.summaries
+        for threads in (2, 3):
+            parallel = run_experiment(config, threads=threads)
+            for name in MEASURE_NAMES:
+                assert np.array_equal(serial.series[name], parallel.series[name], equal_nan=True)
+            assert np.array_equal(serial.signed_rds, parallel.signed_rds)
+            assert serial.summaries == parallel.summaries
     with pytest.raises(ValidationError):
         run_experiment(config, threads=0)
+
+
+def test_stream_draws_each_block_from_its_own_generator():
+    # pair i of block b is rows 2i and 2i+1 of one draw of 2m members from
+    # the generator keyed by (seed, b); checked against compare_all
+    config = feasible_config(num_pairs=SPANNING_PAIRS, n=12, k=4, seed=2**64 - 1)
+    table = run_experiment(config)
+    for block, m in enumerate((experiments.BLOCK, experiments.BLOCK, 7)):
+        ss = np.random.SeedSequence(config.seed, spawn_key=(block,))
+        rows = sample_uniform(12, 4, np.random.Generator(np.random.PCG64(ss)), size=2 * m)
+        for i in (0, m - 1):
+            pair = block * experiments.BLOCK + i
+            row = np.array([table.series[name][pair] for name in MEASURE_NAMES])
+            assert_row_matches_report(row, table.signed_rds[pair],
+                                      FrequencyDistribution(rows[2 * i].tolist()),
+                                      FrequencyDistribution(rows[2 * i + 1].tolist()))
+
+
+def test_samplers_are_called_once_per_block_through_module_globals(monkeypatch):
+    # wrapping experiments.sample_uniform (or the Poisson sampler) must see
+    # every draw, one batch of 2m members per block
+    for name, source in [("sample_uniform", {}),
+                         ("sample_poisson_distribution", {"source": "poisson", "lam": 5.0})]:
+        sizes = []
+        original = getattr(experiments, name)
+
+        def counting(*args, size, original=original, **kwargs):
+            sizes.append(size)
+            return original(*args, size=size, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counting)
+        run_experiment(feasible_config(num_pairs=SPANNING_PAIRS, **source))
+        assert sizes == [2 * experiments.BLOCK, 2 * experiments.BLOCK, 14]
 
 
 def test_process_pool_is_capped_at_the_cpu_count(monkeypatch):
@@ -133,11 +184,12 @@ def test_process_pool_is_capped_at_the_cpu_count(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
-    config = feasible_config(num_pairs=50)
+    config = feasible_config(num_pairs=SPANNING_PAIRS)
     table = run_experiment(config, threads=10**6)
-    assert sizes == [min(50, os.cpu_count() or 1)]
+    assert sizes == [min(3, os.cpu_count() or 1)]  # one chunk per block at most
     serial = run_experiment(config, threads=1)
-    assert len(sizes) == 1  # one chunk runs without a pool
+    run_experiment(feasible_config(num_pairs=experiments.BLOCK), threads=2)
+    assert len(sizes) == 1  # one chunk, or one block, runs without a pool
     for name in MEASURE_NAMES:
         assert np.array_equal(table.series[name], serial.series[name], equal_nan=True)
     assert np.array_equal(table.signed_rds, serial.signed_rds)

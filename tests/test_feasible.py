@@ -91,21 +91,43 @@ def test_sample_uniform_deterministic_per_seed():
     assert len(set(stream1)) > 1  # a shared generator keeps advancing
 
 
+def _uniform_draws(n, k, rng, draws, batch):
+    """``draws`` uniform members as count tuples, one call each or one batch."""
+    if batch:
+        return [tuple(row) for row in sample_uniform(n, k, rng, size=draws).tolist()]
+    return [sample_uniform(n, k, rng).counts for _ in range(draws)]
+
+
 def test_sample_uniform_covers_tiny_support():
-    rng = np.random.default_rng(1)
-    seen = {sample_uniform(1, 2, rng).counts for _ in range(100)}
-    assert seen == {(0, 1), (1, 0)}
+    for batch in (False, True):
+        rng = np.random.default_rng(1)
+        seen = set(_uniform_draws(1, 2, rng, 100, batch))
+        assert seen == {(0, 1), (1, 0)}, batch
 
 
 def test_sample_uniform_goodness_of_fit_a_10_3():
-    rng = np.random.default_rng(2024)
-    draws = 20000
-    counts = Counter(sample_uniform(10, 3, rng).counts for _ in range(draws))
-    size = cardinality(10, 3)
-    assert len(counts) == size
-    observed = np.array([counts[m.counts] for m in enumerate_members(10, 3)])
-    result = stats.chisquare(observed)
-    assert result.pvalue > 0.001
+    for batch in (False, True):
+        rng = np.random.default_rng(2024)
+        draws = 20000
+        counts = Counter(_uniform_draws(10, 3, rng, draws, batch))
+        size = cardinality(10, 3)
+        assert len(counts) == size
+        observed = np.array([counts[m.counts] for m in enumerate_members(10, 3)])
+        result = stats.chisquare(observed)
+        assert result.pvalue > 0.001, batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), k=st.integers(2, 12), size=st.integers(0, 50),
+       seed=st.integers(0, 2**64 - 1))
+def test_sample_uniform_batch_rows_are_members(n, k, size, seed):
+    rows = sample_uniform(n, k, seed, size=size)
+    assert rows.shape == (size, k) and rows.dtype == np.int64
+    assert (rows >= 0).all() and (rows.sum(axis=1) == n).all()
+    # the one-member form is the batch of one
+    one = sample_uniform(n, k, seed)
+    assert one.n == n and one.k == k
+    assert one.counts == tuple(sample_uniform(n, k, seed, size=1)[0].tolist())
 
 
 def test_audit_a33_z1_golden():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distshift import (
     FrequencyDistribution,
@@ -9,6 +11,7 @@ from distshift import (
     ValidationError,
     chi_square_distance,
     compare_all,
+    ds,
     emd,
     histogram_non_intersection,
     kl_divergence,
@@ -16,6 +19,7 @@ from distshift import (
     rps,
     sample_uniform,
 )
+from distshift.measures import _measure_columns
 
 from oracles import compositions, transport_emd
 
@@ -194,3 +198,65 @@ def test_compare_all_sqrt_series():
 def test_compare_all_shared_zero_bin_flags():
     report = compare_all(fd(2, 0, 1), fd(1, 0, 2))
     assert report.chi_square is None and report.kl_sqrt is None
+
+
+def assert_row_matches_report(row, signed, f1, f2):
+    """One kernel row against compare_all: the same NaN pattern, and every
+    defined value within rtol 1e-12. RDS is a difference of two DS values,
+    so its rounding error scales with them rather than with itself; there
+    the tolerance is 1e-12 of the larger DS value."""
+    report = compare_all(f1, f2)
+    scale = max(ds(f1).ds, ds(f2).ds)
+    assert abs(signed - report.rds) <= 1e-12 * scale
+    for name, got in zip(MEASURE_NAMES, row.tolist()):
+        want = getattr(report, name)
+        if want is None:
+            assert math.isnan(got), name
+        elif name == "abs_rds":
+            assert abs(got - want) <= 1e-12 * scale
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+
+@st.composite
+def _member(draw, n, k, empty):
+    """A member of A(n, k) whose bins in ``empty`` are 0 (one bin stays open)."""
+    open_bins = [i for i in range(k) if i not in empty] or [draw(st.integers(0, k - 1))]
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=len(open_bins) - 1,
+                                max_size=len(open_bins) - 1)))
+    counts = [0] * k
+    for i, lo, hi in zip(open_bins, [0] + cuts, cuts + [n]):
+        counts[i] = hi - lo
+    return counts
+
+
+@st.composite
+def _pair_batches(draw):
+    """(k, rows of f1, rows of f2): each pair shares n, as experiment pairs
+    do; bins are forced empty on one side, the other, or both, and some
+    pairs are identical."""
+    k = draw(st.integers(2, 10))
+    bins = st.sets(st.integers(0, k - 1), max_size=k)
+    a, b = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.integers(1, 300))
+        both = draw(bins)
+        first = draw(_member(n, k, both | draw(bins)))
+        same = draw(st.booleans())
+        a.append(first)
+        b.append(first if same else draw(_member(n, k, both | draw(bins))))
+    return k, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=_pair_batches())
+def test_measure_kernel_matches_compare_all(batch):
+    k, a, b = batch
+    rows, signed = _measure_columns(a, b)
+    assert rows.shape == (len(a), len(MEASURE_NAMES)) and signed.shape == (len(a),)
+    for i in range(len(a)):
+        f1, f2 = FrequencyDistribution(a[i].tolist()), FrequencyDistribution(b[i].tolist())
+        assert_row_matches_report(rows[i], signed[i], f1, f2)
+        if f1 == f2:
+            assert signed[i] == 0.0
+            assert all(v == 0.0 for v in rows[i].tolist() if not math.isnan(v))
