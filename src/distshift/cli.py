@@ -229,7 +229,7 @@ def _cmd_experiment(args) -> int:
         csv_out = stack.enter_context(_open_output(args.csv_out))
         if args.json_out is not None:
             json_out = stack.enter_context(_open_output(args.json_out))
-        table = run_experiment(config, threads=args.threads)
+        table = run_experiment(config)
         csv = ["measure," + ",".join(MEASURE_NAMES)]
         for x in MEASURE_NAMES:
             csv.append(x + "," + ",".join(_machine(table.r_squared(x, y)) for y in MEASURE_NAMES))
@@ -250,7 +250,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_fork(args) -> int:
     config = _experiment_config(args)
     with _open_output(args.out) as out:
-        table = run_experiment(config, threads=args.threads)
+        table = run_experiment(config)
         lines = [f"{args.measure},rds"]
         for value, signed in zip(table.series[args.measure], table.signed_rds):
             cell = "undefined" if math.isnan(value) else _machine(value)
@@ -289,9 +289,6 @@ def _add_experiment_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="Poisson rate")
     p.add_argument("--pairs", type=int, required=True, help="number of random pairs")
     p.add_argument("--seed", type=_parse_seed, required=True, help="unsigned 64-bit seed")
-    p.add_argument(
-        "--threads", type=int, default=1, help="worker processes, at most one per CPU (default: 1)"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

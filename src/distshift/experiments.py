@@ -2,25 +2,21 @@
 
 Pairs are drawn either uniformly from a feasible set A(n, k) or as
 binned truncated-Poisson samples, one multinomial draw from the Poisson
-pmf on bins 0..k-1 per member. Every pair gets the full measure
-report; the seven series (|RDS|, chi-square, non-intersection, sqrt KL,
-KS, EMD, sqrt RPS) are then fitted pairwise with least-squares lines
-through the origin.
+pmf on bins 0..k-1 per member. Each pair yields seven series (|RDS|,
+chi-square, non-intersection, sqrt KL, KS, EMD, sqrt RPS), which are
+then fitted pairwise with least-squares lines through the origin.
 
 Pair indices are cut into fixed blocks of ``BLOCK`` pairs. Block b draws
 all of its members in one call from its own generator, derived from
 (seed, b), and measures them in one batch, so a run is reproducible for
-a fixed config and can be partitioned across workers, block by block,
-without changing any result. ``STREAM_VERSION`` names the random stream
-and changes whenever a seeded run would draw differently.
+a fixed config. ``STREAM_VERSION`` names the random stream and changes
+whenever a seeded run would draw differently.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
+import warnings
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -54,8 +50,8 @@ class ExperimentConfig:
         _validate_nk(self.n, self.k)
         if self.num_pairs < 1:
             raise ValidationError(f"num_pairs must be at least 1, got {self.num_pairs}")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must fit in an unsigned 64-bit integer")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise ValidationError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
         if self.source == "poisson":
             _validate_lam(self.lam)
         elif self.lam is not None:
@@ -123,30 +119,24 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
 
 
 def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> CorrelationTable:
-    """Generate pairs, compute all measures, and fit every pairwise regression.
+    """Generate pairs, measure them block by block, and fit every pairwise
+    regression.
 
     Table cells come from least-squares lines through the origin: every
     measure in the table is zero when the two distributions coincide, so
     the intercept is structurally zero and fitting one would only soak up
     curvature. An undefined chi-square or KL value is NaN in its series,
     and its pair is dropped only from the regressions that involve that
-    series; ``dropped_count`` says how many. ``threads`` partitions the
-    blocks of pairs into that many chunks, run by at most one process per
-    CPU; results are independent of the partitioning.
+    series; ``dropped_count`` says how many. Every block runs in order in
+    the calling process; ``threads`` is deprecated, and a value above 1
+    has no effect.
     """
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
-    blocks = -(-config.num_pairs // BLOCK)
-    per = -(-blocks // threads)
-    firsts = range(0, blocks, per)
-    stops = [min(first + per, blocks) for first in firsts]
-    if len(firsts) == 1:
-        chunks = [_compute_blocks(config, 0, blocks)]
-    else:
-        workers = min(threads, len(firsts), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_compute_blocks, repeat(config), firsts, stops))
-    parts = [part for chunk in chunks for part in chunk]
+    if threads > 1:
+        warnings.warn("threads has no effect: every block runs in the calling process",
+                      DeprecationWarning, stacklevel=2)
+    parts = [_compute_block(config, block) for block in range(-(-config.num_pairs // BLOCK))]
     rows = np.concatenate([p[0] for p in parts])
     signed = np.concatenate([p[1] for p in parts])
     series = {name: rows[:, j].copy() for j, name in enumerate(MEASURE_NAMES)}
@@ -156,24 +146,21 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
     return CorrelationTable(config=config, summaries=summaries, series=series, signed_rds=signed)
 
 
-def _compute_blocks(config: ExperimentConfig, first: int, stop: int):
-    """Measure rows (NaN where a value is undefined) and signed RDS, one
-    pair of arrays per block, for blocks first..stop-1.
+def _compute_block(config: ExperimentConfig, block: int):
+    """Measure rows (NaN where a value is undefined) and signed RDS of
+    one block of pairs.
 
-    Block b's generator draws its 2m members in one call, pair i of the
+    The block's generator draws its 2m members in one call, pair i of the
     block being rows 2i and 2i+1. The samplers are looked up as module
     globals at call time, so a wrapper set on this module sees each call.
     """
-    parts = []
-    for block in range(first, stop):
-        m = min(BLOCK, config.num_pairs - block * BLOCK)
-        rng = _block_generator(config.seed, block)
-        if config.source == "feasible_set":
-            members = sample_uniform(config.n, config.k, rng, size=2 * m)
-        else:
-            members = sample_poisson_distribution(config.lam, config.n, config.k, rng, size=2 * m)
-        parts.append(_measure_columns(members[0::2], members[1::2]))
-    return parts
+    m = min(BLOCK, config.num_pairs - block * BLOCK)
+    rng = _block_generator(config.seed, block)
+    if config.source == "feasible_set":
+        members = sample_uniform(config.n, config.k, rng, size=2 * m)
+    else:
+        members = sample_poisson_distribution(config.lam, config.n, config.k, rng, size=2 * m)
+    return _measure_columns(members[0::2], members[1::2])
 
 
 def fit_through_origin(xs, ys) -> RegressionSummary:
@@ -184,7 +171,9 @@ def fit_through_origin(xs, ys) -> RegressionSummary:
     symmetric in the two series and equals 1 exactly when ys is a scalar
     multiple of xs. A pair with a non-finite value (NaN marks an undefined
     measure) is dropped and counted in ``dropped_count``; fewer than 2
-    kept points or an all-zero series yields a degenerate summary.
+    kept points, an all-zero series or a sum of squares that overflows
+    yields a degenerate summary. r_squared is formed as two ratios, so
+    no product of sums can underflow or overflow on its way.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -193,12 +182,13 @@ def fit_through_origin(xs, ys) -> RegressionSummary:
     mask = np.isfinite(xs) & np.isfinite(ys)
     xs, ys = xs[mask], ys[mask]
     kept, dropped = len(xs), len(mask) - len(xs)
-    sxx = float(xs @ xs)
-    syy = float(ys @ ys)
-    sxy = float(xs @ ys)
-    if kept < 2 or sxx <= 0.0 or syy <= 0.0:
+    with np.errstate(over="ignore"):  # an overflowed sum is degenerate, below
+        sxx = float(xs @ xs)
+        syy = float(ys @ ys)
+        sxy = float(xs @ ys)
+    if kept < 2 or not (0.0 < sxx < math.inf and 0.0 < syy < math.inf):
         return RegressionSummary(0.0, 0.0, kept, dropped, degenerate=True)
     slope = sxy / sxx
-    r_squared = min(sxy * sxy / (sxx * syy), 1.0)
+    r_squared = min(slope * (sxy / syy), 1.0)
     return RegressionSummary(slope, r_squared, kept, dropped)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 import numpy as np
@@ -72,26 +73,6 @@ def cardinality(n: int, k: int) -> int:
     return math.comb(n + k - 1, k - 1)
 
 
-def _cumulative_forms(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield cumulative forms of A(n, k) in lexicographic order.
-
-    A cumulative form is a nondecreasing k-tuple over 0..n whose last
-    entry is n. The successor of a form increments the rightmost free
-    position and levels everything after it.
-    """
-    head = [0] * (k - 1)
-    while True:
-        yield tuple(head) + (n,)
-        i = k - 2
-        while i >= 0 and head[i] == n:
-            i -= 1
-        if i < 0:
-            return
-        value = head[i] + 1
-        for j in range(i, k - 1):
-            head[j] = value
-
-
 def _fd_from_cumulative(form: tuple[int, ...]) -> FrequencyDistribution:
     # internal fast path: forms are valid by construction, skip validation
     counts = (form[0],) + tuple(form[i] - form[i - 1] for i in range(1, len(form)))
@@ -107,7 +88,9 @@ def enumerate_members(n: int, k: int, cap: int = DEFAULT_CAP) -> Iterator[Freque
     size = cardinality(n, k)
     if size > cap:
         raise CapExceededError(n, k, size, cap)
-    return map(_fd_from_cumulative, _cumulative_forms(n, k))
+    # a cumulative form is a nondecreasing k-tuple over 0..n ending in n
+    forms = ((*head, n) for head in combinations_with_replacement(range(n + 1), k - 1))
+    return map(_fd_from_cumulative, forms)
 
 
 def sample_uniform(

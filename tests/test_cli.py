@@ -324,23 +324,20 @@ def test_experiment_csv_matrix(capsys):
 
 
 def test_experiment_outputs_are_byte_identical(tmp_path, capsys):
-    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    for path in paths:
-        code, out, _ = run(capsys, "experiment", *EXPERIMENT_ARGS, "--csv-out", str(path))
-        assert code == 0 and out == ""
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    # three blocks of the stream, so that two and three workers split them
+    # three blocks of the stream, the last one short
     spanning = ("--source", "feasible", "-n", "20", "-k", "5",
                 "--pairs", str(2 * BLOCK + 7), "--seed", "42")
-    outputs = set()
-    for threads in ("1", "2", "3"):
-        target = tmp_path / f"threads-{threads}.csv"
-        code, _, _ = run(capsys, "experiment", *spanning, "--threads", threads,
-                         "--csv-out", str(target))
-        assert code == 0
-        outputs.add(target.read_bytes())
-    assert len(outputs) == 1
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        code, out, _ = run(capsys, "experiment", *spanning, "--csv-out", str(path))
+        assert code == 0 and out == ""
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    # an experiment runs in one process, so there is no worker option
+    for command in (["experiment"], ["fork", "--measure", "emd"]):
+        with pytest.raises(SystemExit) as info:
+            main([*command, *spanning, "--threads", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_experiment_json_output(tmp_path, capsys):

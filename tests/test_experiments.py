@@ -1,5 +1,5 @@
 import math
-import os
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +39,9 @@ def feasible_config(**overrides):
         {"seed": -1},
         {"seed": 2**64},
         {"lam": 5.0},
+        {"seed": 1.5},
+        {"seed": "7"},
+        {"seed": True},
     ],
 )
 def test_config_validation(overrides):
@@ -119,15 +122,16 @@ SPANNING_PAIRS = 2 * experiments.BLOCK + 7
 
 
 def test_run_experiment_threads_do_not_change_results():
-    for source in [{}, {"source": "poisson", "lam": 5.0}]:
-        config = feasible_config(num_pairs=SPANNING_PAIRS, **source)
-        serial = run_experiment(config, threads=1)
-        for threads in (2, 3):
-            parallel = run_experiment(config, threads=threads)
-            for name in MEASURE_NAMES:
-                assert np.array_equal(serial.series[name], parallel.series[name], equal_nan=True)
-            assert np.array_equal(serial.signed_rds, parallel.signed_rds)
-            assert serial.summaries == parallel.summaries
+    # threads is deprecated: a value above 1 warns and runs the same blocks
+    config = feasible_config(num_pairs=SPANNING_PAIRS)
+    serial = run_experiment(config, threads=1)
+    for threads in (2, 3):
+        with pytest.warns(DeprecationWarning, match="threads has no effect"):
+            other = run_experiment(config, threads=threads)
+        for name in MEASURE_NAMES:
+            assert np.array_equal(serial.series[name], other.series[name], equal_nan=True)
+        assert np.array_equal(serial.signed_rds, other.signed_rds)
+        assert serial.summaries == other.summaries
     with pytest.raises(ValidationError):
         run_experiment(config, threads=0)
 
@@ -163,37 +167,6 @@ def test_samplers_are_called_once_per_block_through_module_globals(monkeypatch):
         monkeypatch.setattr(experiments, name, counting)
         run_experiment(feasible_config(num_pairs=SPANNING_PAIRS, **source))
         assert sizes == [2 * experiments.BLOCK, 2 * experiments.BLOCK, 14]
-
-
-def test_process_pool_is_capped_at_the_cpu_count(monkeypatch):
-    # the fork start method forks every worker at the first submit, so a
-    # huge threads value must not size the pool; this fake maps in-process
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
-    config = feasible_config(num_pairs=SPANNING_PAIRS)
-    table = run_experiment(config, threads=10**6)
-    assert sizes == [min(3, os.cpu_count() or 1)]  # one chunk per block at most
-    serial = run_experiment(config, threads=1)
-    run_experiment(feasible_config(num_pairs=experiments.BLOCK), threads=2)
-    assert len(sizes) == 1  # one chunk, or one block, runs without a pool
-    for name in MEASURE_NAMES:
-        assert np.array_equal(table.series[name], serial.series[name], equal_nan=True)
-    assert np.array_equal(table.signed_rds, serial.signed_rds)
-    assert table.summaries == serial.summaries
 
 
 def test_table_diagonal_and_symmetry():
@@ -307,3 +280,17 @@ def test_fit_through_origin_degenerate_cases():
     )
     with pytest.raises(ValidationError):
         fit_through_origin([1.0, 2.0], [1.0])
+
+
+def test_fit_through_origin_extreme_magnitudes():
+    # sxx * syy underflows to 0 here, though each sum is a normal float
+    tiny = fit_through_origin([1e-100, 2e-100], [1e-100, 3e-100])
+    assert not tiny.degenerate
+    assert tiny.slope == pytest.approx(1.4, rel=1e-15)
+    assert tiny.r_squared == pytest.approx(0.98, rel=1e-15)
+    # sxx and syy overflow to inf: no finite line can be fitted, and the
+    # overflow is the summary's to report, not a RuntimeWarning's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = fit_through_origin([1e200, 2e200], [1e200, 3e200])
+    assert huge == RegressionSummary(0.0, 0.0, 2, 0, degenerate=True)
