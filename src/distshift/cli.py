@@ -224,6 +224,9 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def _cmd_experiment(args) -> int:
     config = _experiment_config(args)
+    paths = [Path(p).resolve() for p in (args.csv_out, args.json_out) if p not in (None, "-")]
+    if len(paths) == 2 and paths[0] == paths[1]:
+        raise ValidationError(f"--csv-out and --json-out name the same file: {paths[0]}")
     # outputs are opened before any pair is drawn, so a bad path costs no run
     with ExitStack() as stack:
         csv_out = stack.enter_context(_open_output(args.csv_out))

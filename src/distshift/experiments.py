@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import FrequencyDistribution, ValidationError
-from .feasible import _validate_nk, sample_uniform
+from .distributions import ValidationError
+from .feasible import _require_int, _validate_nk, sample_uniform
 from .measures import MEASURE_NAMES, _measure_columns
 from .measures import compare_all  # unused here; bench/workloads.py patches this name
 
@@ -48,19 +48,28 @@ class ExperimentConfig:
         if self.source not in SOURCES:
             raise ValidationError(f"source must be one of {SOURCES}, got {self.source!r}")
         _validate_nk(self.n, self.k)
-        if self.num_pairs < 1:
-            raise ValidationError(f"num_pairs must be at least 1, got {self.num_pairs}")
+        _require_int("num_pairs", self.num_pairs, 1)
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
         if self.source == "poisson":
-            _validate_lam(self.lam)
+            _truncated_poisson_pmf(self.lam, self.k)
         elif self.lam is not None:
             raise ValidationError(f"lam applies only to the poisson source, got lam={self.lam}")
 
 
-def _validate_lam(lam) -> None:
+def _truncated_poisson_pmf(lam, k: int) -> np.ndarray:
+    """The Poisson(lam) pmf on 0..k-1, renormalised; refuses a rate that is
+    not positive and finite, or that leaves a mass below 1e-12 there."""
     if lam is None or not 0 < lam < math.inf:
         raise ValidationError(f"lam must be positive and finite, got {lam}")
+    # normalised in log space: at large lam every term of the pmf underflows
+    log_pmf = np.array([v * math.log(lam) - lam - math.lgamma(v + 1) for v in range(k)])
+    top = log_pmf.max()
+    weights = np.exp(log_pmf - top)
+    total = weights.sum()
+    if top + math.log(total) < math.log(1e-12):
+        raise ValidationError(f"Poisson(lam={lam}) has negligible mass below k={k}")
+    return weights / total
 
 
 @dataclass(frozen=True)
@@ -86,31 +95,18 @@ class CorrelationTable:
         return self.summaries[(x, y)].r_squared
 
 
-def sample_poisson_distribution(
-    lam: float, n: int, k: int, seed, size: int | None = None
-) -> FrequencyDistribution | np.ndarray:
-    """Bin n draws from Poisson(lam) conditioned on values below k.
+def sample_poisson_distribution(lam: float, n: int, k: int, seed, size: int) -> np.ndarray:
+    """Draw ``size`` binnings of n draws from Poisson(lam) conditioned on
+    values below k, as a ``(size, k)`` int64 array of counts, one per row.
 
     n iid draws conditioned on being below k are n iid draws from the
-    Poisson pmf restricted to 0..k-1 and renormalised, so the counts are
-    one multinomial draw from that pmf and always sum to n exactly.
-    ``size=None`` returns one ``FrequencyDistribution``, the first row
-    of ``size=1``; an int returns a ``(size, k)`` int64 count array.
+    Poisson pmf restricted to 0..k-1 and renormalised, so each row is
+    one multinomial draw from that pmf and sums to n exactly.
+    ``FrequencyDistribution(row)`` gives one row to the scalar API.
     """
-    _validate_lam(lam)
     _validate_nk(n, k)
-    # normalised in log space: at large lam every term of the pmf underflows
-    log_pmf = np.array([v * math.log(lam) - lam - math.lgamma(v + 1) for v in range(k)])
-    top = log_pmf.max()
-    weights = np.exp(log_pmf - top)
-    total = weights.sum()
-    if top + math.log(total) < math.log(1e-12):
-        raise ValidationError(f"Poisson(lam={lam}) has negligible mass below k={k}")
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, weights / total, size=1 if size is None else size)
-    if size is None:
-        return FrequencyDistribution(tuple(counts[0].tolist()))
-    return counts
+    _require_int("size", size, 0)
+    return np.random.default_rng(seed).multinomial(n, _truncated_poisson_pmf(lam, k), size=size)
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
@@ -137,9 +133,8 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
         warnings.warn("threads has no effect: every block runs in the calling process",
                       DeprecationWarning, stacklevel=2)
     parts = [_compute_block(config, block) for block in range(-(-config.num_pairs // BLOCK))]
-    rows = np.concatenate([p[0] for p in parts])
-    signed = np.concatenate([p[1] for p in parts])
-    series = {name: rows[:, j].copy() for j, name in enumerate(MEASURE_NAMES)}
+    series = {name: np.concatenate([columns[name] for columns, _ in parts]) for name in MEASURE_NAMES}
+    signed = np.concatenate([block_signed for _, block_signed in parts])
     summaries = {
         (x, y): fit_through_origin(series[x], series[y]) for x in MEASURE_NAMES for y in MEASURE_NAMES
     }
@@ -147,8 +142,8 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
 
 
 def _compute_block(config: ExperimentConfig, block: int):
-    """Measure rows (NaN where a value is undefined) and signed RDS of
-    one block of pairs.
+    """The measure columns (NaN where a value is undefined) and signed
+    RDS of one block of pairs, as ``_measure_columns`` returns them.
 
     The block's generator draws its 2m members in one call, pair i of the
     block being rows 2i and 2i+1. The samplers are looked up as module

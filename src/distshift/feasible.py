@@ -21,6 +21,7 @@ coefficients before anything is reported.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -60,11 +61,17 @@ class CapExceededError(ValidationError):
         self.cap = cap
 
 
+def _require_int(name: str, value, low: int) -> None:
+    """Refuse a non-integer, a bool or a value below ``low``; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be at least {low}, got {value}")
+
+
 def _validate_nk(n: int, k: int) -> None:
-    if n < 1:
-        raise ValidationError(f"n must be at least 1, got {n}")
-    if k < 2:
-        raise ValidationError(f"k must be at least 2, got {k}")
+    _require_int("n", n, 1)
+    _require_int("k", k, 2)
 
 
 def cardinality(n: int, k: int) -> int:
@@ -93,37 +100,32 @@ def enumerate_members(n: int, k: int, cap: int = DEFAULT_CAP) -> Iterator[Freque
     return map(_fd_from_cumulative, forms)
 
 
-def sample_uniform(
-    n: int, k: int, seed, size: int | None = None
-) -> FrequencyDistribution | np.ndarray:
-    """Draw members of A(n, k), each with probability 1/|A(n, k)|.
+def sample_uniform(n: int, k: int, seed, size: int) -> np.ndarray:
+    """Draw ``size`` members of A(n, k), each with probability 1/|A(n, k)|,
+    as a ``(size, k)`` int64 array of counts, one member per row.
 
     Each row draws a uniform (k-1)-subset of the n+k-1 slots by Floyd's
     algorithm, vectorised over rows (k-1 integer draws of ``size``
     values each), and reads the gaps between the chosen separators as
     counts (stars and bars), so every composition is equally likely.
-    ``size=None`` returns one ``FrequencyDistribution``, the first row
-    of ``size=1``; an int returns a ``(size, k)`` int64 count array.
+    ``FrequencyDistribution(row)`` gives one row to the scalar API.
     ``seed`` may be an int or a numpy Generator; identical seeds produce
     identical draws.
     """
     _validate_nk(n, k)
+    _require_int("size", size, 0)
     rng = np.random.default_rng(seed)
     slots = n + k - 1
-    rows = 1 if size is None else size
-    chosen = np.empty((rows, k + 1), dtype=np.int64)
+    chosen = np.empty((size, k + 1), dtype=np.int64)
     chosen[:, 0], chosen[:, k] = -1, slots
     # Floyd: for each slot j from n upwards, pick t in 0..j; take t unless
     # it is already taken, and j itself then (j was never a candidate before)
     for col, j in enumerate(range(n, slots), start=1):
-        t = rng.integers(0, j + 1, size=rows)
+        t = rng.integers(0, j + 1, size=size)
         taken = (chosen[:, 1:col] == t[:, None]).any(axis=1)
         chosen[:, col] = np.where(taken, j, t)
     chosen[:, 1:k].sort(axis=1)
-    counts = np.diff(chosen, axis=1) - 1
-    if size is None:
-        return FrequencyDistribution(tuple(counts[0].tolist()))
-    return counts
+    return np.diff(chosen, axis=1) - 1
 
 
 @dataclass(frozen=True)
@@ -177,8 +179,7 @@ def audit_uniqueness(
     z = Fraction(z)
     if not z > 0:
         raise ValidationError(f"exponent must be positive, got {z}")
-    if max_collisions < 0:
-        raise ValidationError(f"max_collisions must be at least 0, got {max_collisions}")
+    _require_int("max_collisions", max_collisions, 0)
     size = cardinality(n, k)
     if size > cap:
         raise CapExceededError(n, k, size, cap)

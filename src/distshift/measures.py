@@ -125,9 +125,10 @@ def _measure_columns(a, b):
     """The ``MEASURE_NAMES`` columns and signed RDS for rows of counts.
 
     ``a`` and ``b`` are (N, k) integer arrays whose row i is the pair
-    (f1, f2) that ``compare_all`` would take. Returns an (N, 7) float
-    array, NaN where chi-square or KL is undefined by the rules above,
-    and the N signed RDS values. ``compare_all`` is its oracle.
+    (f1, f2) that ``compare_all`` would take. Returns a dict of seven
+    length-N float arrays keyed by ``MEASURE_NAMES`` in that order, NaN
+    where chi-square or KL is undefined by the rules above, and the N
+    signed RDS values. ``compare_all`` is its oracle.
     """
     import numpy as np  # only this batch path needs numpy
 
@@ -149,7 +150,7 @@ def _measure_columns(a, b):
     kl = kl_terms.sum(axis=1)
     kl[(b == 0).any(axis=1)] = np.nan  # a shared empty bin, or f1 outside f2's support
     cum_diff = np.abs(cum_p - cum_q)
-    columns = {
+    return {
         "abs_rds": np.abs(signed),
         "chi_square": chi,
         "non_intersection": 0.5 * np.abs(diff).sum(axis=1),
@@ -157,8 +158,7 @@ def _measure_columns(a, b):
         "ks": cum_diff.max(axis=1),
         "emd": cum_diff.sum(axis=1),
         "rps_sqrt": np.sqrt((cum_diff * cum_diff).sum(axis=1)),
-    }
-    return np.column_stack([columns[name] for name in MEASURE_NAMES]), signed
+    }, signed
 
 
 def compare_all(f1: FrequencyDistribution, f2: FrequencyDistribution) -> MeasureReport:

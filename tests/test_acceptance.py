@@ -191,10 +191,9 @@ def test_criterion_5_property_suites():
                     assert ds(FrequencyDistribution(moved)).ds < value
 
     # antisymmetry and range on ten thousand random pairs
-    rng = np.random.default_rng(20260814)
-    for _ in range(10_000):
-        f1 = sample_uniform(50, 6, rng)
-        f2 = sample_uniform(50, 6, rng)
+    rows = sample_uniform(50, 6, np.random.default_rng(20260814), size=20_000)
+    for a, b in zip(rows[0::2], rows[1::2]):
+        f1, f2 = FrequencyDistribution(a), FrequencyDistribution(b)
         forward = rds(f1, f2)
         assert rds(f2, f1) == -forward
         assert abs(forward) <= 1.0
@@ -202,8 +201,8 @@ def test_criterion_5_property_suites():
     # scale invariance of DS under count multiplication
     rng = np.random.default_rng(99)
     for n, k in ((7, 3), (23, 5), (40, 6)):
-        for _ in range(100):
-            base = sample_uniform(n, k, rng)
+        for row in sample_uniform(n, k, rng, size=100):
+            base = FrequencyDistribution(row)
             reference = ds(base).ds
             for c in (2, 10, 1000):
                 scaled = FrequencyDistribution(tuple(c * x for x in base.counts))
@@ -222,9 +221,8 @@ def test_criterion_5_property_suites():
     for n, k, seed in ((3, 3, 5), (4, 4, 6)):
         index = {m.counts: i for i, m in enumerate(enumerate_members(n, k))}
         observed = np.zeros(len(index))
-        rng = np.random.default_rng(seed)
-        for _ in range(100_000):
-            observed[index[sample_uniform(n, k, rng).counts]] += 1
+        for row in sample_uniform(n, k, np.random.default_rng(seed), size=100_000).tolist():
+            observed[index[tuple(row)]] += 1
         expected = 100_000 / len(index)
         statistic = float(((observed - expected) ** 2 / expected).sum())
         assert float(stats.chi2.sf(statistic, len(index) - 1)) > 0.001

@@ -382,6 +382,29 @@ def test_experiment_feasible_refuses_rate(tmp_path, capsys):
     assert err == "error: lam applies only to the poisson source, got lam=5.0\n"
 
 
+def test_negligible_poisson_mass_is_refused_before_outputs_open(tmp_path, capsys):
+    target = tmp_path / "kept.txt"
+    target.write_bytes(b"earlier output\n")
+    poisson = ("--source", "poisson", "-n", "10", "-k", "3", "--pairs", "5",
+               "--seed", "1", "--lambda", "1000")
+    for extra in (["experiment", "--csv-out", str(target)],
+                  ["fork", "--measure", "emd", "--out", str(target)]):
+        code, out, err = run(capsys, extra[0], *poisson, *extra[1:])
+        assert code == 1 and out == ""
+        assert err == "error: Poisson(lam=1000.0) has negligible mass below k=3\n"
+        assert target.read_bytes() == b"earlier output\n"
+
+
+def test_experiment_refuses_one_file_for_both_outputs(tmp_path, capsys):
+    target = tmp_path / "table.txt"
+    target.write_bytes(b"earlier output\n")
+    code, out, err = run(capsys, "experiment", *EXPERIMENT_ARGS, "--csv-out", str(target),
+                         "--json-out", str(tmp_path / "." / "table.txt"))
+    assert code == 1 and out == ""
+    assert err == f"error: --csv-out and --json-out name the same file: {target.resolve()}\n"
+    assert target.read_bytes() == b"earlier output\n"
+
+
 def test_experiment_opens_outputs_before_drawing(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("pairs were drawn before the outputs were opened")

@@ -42,6 +42,13 @@ def feasible_config(**overrides):
         {"seed": 1.5},
         {"seed": "7"},
         {"seed": True},
+        {"num_pairs": 1.5},
+        {"num_pairs": "3"},
+        {"num_pairs": True},
+        {"n": 5.0},
+        {"n": True},
+        {"k": 3.0},
+        {"source": "poisson", "lam": 1000.0, "k": 3},
     ],
 )
 def test_config_validation(overrides):
@@ -58,53 +65,50 @@ def test_poisson_config_requires_rate():
 
 
 def test_sample_poisson_invariants_and_determinism():
-    f = sample_poisson_distribution(5.0, 100, 5, seed=11)
+    rows = sample_poisson_distribution(5.0, 100, 5, seed=11, size=1)
+    f = FrequencyDistribution(rows[0])
     assert f.n == 100 and f.k == 5
-    assert f.counts == sample_poisson_distribution(5.0, 100, 5, seed=11).counts
+    assert np.array_equal(rows, sample_poisson_distribution(5.0, 100, 5, seed=11, size=1))
 
 
 def test_sample_poisson_collapses_as_rate_vanishes():
-    f = sample_poisson_distribution(0.0001, 100, 5, seed=3)
-    assert f.counts == (100, 0, 0, 0, 0)
+    rows = sample_poisson_distribution(0.0001, 100, 5, seed=3, size=1)
+    assert rows.tolist() == [[100, 0, 0, 0, 0]]
 
 
 def test_sample_poisson_rejects_bad_arguments():
     for lam in (0.0, math.inf, math.nan):
         with pytest.raises(ValidationError, match="lam must be positive and finite"):
-            sample_poisson_distribution(lam, 10, 3, seed=1)
+            sample_poisson_distribution(lam, 10, 3, seed=1, size=1)
     with pytest.raises(ValidationError):
-        sample_poisson_distribution(5.0, 0, 3, seed=1)
+        sample_poisson_distribution(5.0, 0, 3, seed=1, size=1)
     with pytest.raises(ValidationError):
-        sample_poisson_distribution(5.0, 10, 1, seed=1)
+        sample_poisson_distribution(5.0, 10, 1, seed=1, size=1)
     with pytest.raises(ValidationError, match="negligible mass"):
-        sample_poisson_distribution(1000.0, 10, 3, seed=1)
+        sample_poisson_distribution(1000.0, 10, 3, seed=1, size=1)
+    with pytest.raises(ValidationError, match="size must be at least 0"):
+        sample_poisson_distribution(5.0, 10, 3, seed=1, size=-1)
 
 
 def test_sample_poisson_matches_truncated_pmf():
     # a million aggregated draws against the analytic conditional pmf;
     # at lam=30 only 3.6e-9 of the Poisson mass lies below k
     samples, n = 10000, 100
-    for lam, k, batch in [(5.0, 5, False), (30.0, 5, False), (5.0, 5, True), (30.0, 5, True)]:
+    for lam, k in [(5.0, 5), (30.0, 5)]:
         rng = np.random.default_rng(314)
-        if batch:
-            totals = sample_poisson_distribution(lam, n, k, rng, size=samples).sum(axis=0)
-        else:
-            totals = np.zeros(k, dtype=np.int64)
-            for _ in range(samples):
-                totals += np.array(sample_poisson_distribution(lam, n, k, rng).counts)
+        totals = sample_poisson_distribution(lam, n, k, rng, size=samples).sum(axis=0)
         draws = samples * n
         empirical = totals / draws
         expected = truncated_poisson_pmf(lam, k)
         stderr = np.sqrt(expected * (1 - expected) / draws)
-        assert np.all(np.abs(empirical - expected) <= 3 * stderr), (lam, k, batch)
+        assert np.all(np.abs(empirical - expected) <= 3 * stderr), (lam, k)
 
 
 def test_sample_poisson_batch_shape():
-    rows = sample_poisson_distribution(5.0, 40, 6, seed=9, size=25)
-    assert rows.shape == (25, 6) and rows.dtype == np.int64
-    assert (rows >= 0).all() and (rows.sum(axis=1) == 40).all()
-    one = sample_poisson_distribution(5.0, 40, 6, seed=9)
-    assert one.counts == tuple(sample_poisson_distribution(5.0, 40, 6, seed=9, size=1)[0].tolist())
+    for size in (25, 0):
+        rows = sample_poisson_distribution(5.0, 40, 6, seed=9, size=size)
+        assert rows.shape == (size, 6) and rows.dtype == np.int64
+        assert (rows >= 0).all() and (rows.sum(axis=1) == 40).all()
 
 
 def test_run_experiment_is_deterministic():
@@ -146,8 +150,7 @@ def test_stream_draws_each_block_from_its_own_generator():
         rows = sample_uniform(12, 4, np.random.Generator(np.random.PCG64(ss)), size=2 * m)
         for i in (0, m - 1):
             pair = block * experiments.BLOCK + i
-            row = np.array([table.series[name][pair] for name in MEASURE_NAMES])
-            assert_row_matches_report(row, table.signed_rds[pair],
+            assert_row_matches_report(table.series, pair, table.signed_rds,
                                       FrequencyDistribution(rows[2 * i].tolist()),
                                       FrequencyDistribution(rows[2 * i + 1].tolist()))
 
@@ -194,9 +197,9 @@ def test_table_drop_accounting():
 def test_pair_roles_are_exchangeable():
     rng = np.random.default_rng(21)
     xs, ys, xs_swapped, ys_swapped = [], [], [], []
-    for _ in range(200):
-        f1 = sample_uniform(30, 5, rng)
-        f2 = sample_uniform(30, 5, rng)
+    rows = sample_uniform(30, 5, rng, size=400)
+    for a, b in zip(rows[0::2], rows[1::2]):
+        f1, f2 = FrequencyDistribution(a), FrequencyDistribution(b)
         forward = compare_all(f1, f2)
         backward = compare_all(f2, f1)
         assert backward.rds == -forward.rds

@@ -11,6 +11,7 @@ from scipy import stats
 
 from distshift import (
     CapExceededError,
+    FrequencyDistribution,
     ValidationError,
     audit_uniqueness,
     audit_uniqueness_default,
@@ -45,6 +46,25 @@ def test_cardinality_validates_inputs():
         cardinality(3, 1)
 
 
+def test_integer_arguments_are_checked():
+    # a count must be an integer (a bool is not one) of at least its bound
+    for bad in (5.0, True, "5", None):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            cardinality(bad, 3)
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            cardinality(5, bad)
+        with pytest.raises(ValidationError, match="size must be an integer"):
+            sample_uniform(5, 3, 1, size=bad)
+    with pytest.raises(ValidationError, match="size must be at least 0"):
+        sample_uniform(5, 3, 1, size=-1)
+    with pytest.raises(ValidationError, match="max_collisions must be an integer"):
+        audit_uniqueness(5, 3, 2, max_collisions=1.5)
+    # numpy integers pass, and size=0 is an empty batch
+    assert cardinality(np.int64(5), np.int32(3)) == 21
+    assert sample_uniform(np.int64(5), 3, 1, size=np.int64(0)).shape == (0, 3)
+    assert audit_uniqueness(5, 3, 2, max_collisions=np.int64(0)).collisions == ()
+
+
 def test_enumerate_a33_listing_verbatim():
     got = [f.totals for f in enumerate_members(3, 3)]
     assert got == A33_CUMULATIVE
@@ -76,45 +96,38 @@ def test_enumerate_refuses_oversized_sets_up_front():
 
 
 def test_sample_uniform_is_a_valid_member():
-    f = sample_uniform(100, 5, seed=42)
+    f = FrequencyDistribution(sample_uniform(100, 5, seed=42, size=1)[0])
     assert f.n == 100 and f.k == 5
 
 
 def test_sample_uniform_deterministic_per_seed():
-    a = [sample_uniform(12, 4, seed=99).counts for _ in range(5)]
-    b = [sample_uniform(12, 4, seed=99).counts for _ in range(5)]
-    assert a == b
+    a = sample_uniform(12, 4, seed=99, size=5)
+    b = sample_uniform(12, 4, seed=99, size=5)
+    assert np.array_equal(a, b)
     rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
-    stream1 = [sample_uniform(12, 4, rng1).counts for _ in range(20)]
-    stream2 = [sample_uniform(12, 4, rng2).counts for _ in range(20)]
-    assert stream1 == stream2
-    assert len(set(stream1)) > 1  # a shared generator keeps advancing
-
-
-def _uniform_draws(n, k, rng, draws, batch):
-    """``draws`` uniform members as count tuples, one call each or one batch."""
-    if batch:
-        return [tuple(row) for row in sample_uniform(n, k, rng, size=draws).tolist()]
-    return [sample_uniform(n, k, rng).counts for _ in range(draws)]
+    stream1 = sample_uniform(12, 4, rng1, size=20)
+    stream2 = sample_uniform(12, 4, rng2, size=20)
+    assert np.array_equal(stream1, stream2)
+    assert len(set(map(tuple, stream1.tolist()))) > 1
+    # a shared generator keeps advancing
+    assert not np.array_equal(sample_uniform(12, 4, rng1, size=20), stream1)
 
 
 def test_sample_uniform_covers_tiny_support():
-    for batch in (False, True):
-        rng = np.random.default_rng(1)
-        seen = set(_uniform_draws(1, 2, rng, 100, batch))
-        assert seen == {(0, 1), (1, 0)}, batch
+    rng = np.random.default_rng(1)
+    seen = set(map(tuple, sample_uniform(1, 2, rng, size=100).tolist()))
+    assert seen == {(0, 1), (1, 0)}
 
 
 def test_sample_uniform_goodness_of_fit_a_10_3():
-    for batch in (False, True):
-        rng = np.random.default_rng(2024)
-        draws = 20000
-        counts = Counter(_uniform_draws(10, 3, rng, draws, batch))
-        size = cardinality(10, 3)
-        assert len(counts) == size
-        observed = np.array([counts[m.counts] for m in enumerate_members(10, 3)])
-        result = stats.chisquare(observed)
-        assert result.pvalue > 0.001, batch
+    rng = np.random.default_rng(2024)
+    draws = 20000
+    counts = Counter(map(tuple, sample_uniform(10, 3, rng, size=draws).tolist()))
+    size = cardinality(10, 3)
+    assert len(counts) == size
+    observed = np.array([counts[m.counts] for m in enumerate_members(10, 3)])
+    result = stats.chisquare(observed)
+    assert result.pvalue > 0.001
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,10 +137,6 @@ def test_sample_uniform_batch_rows_are_members(n, k, size, seed):
     rows = sample_uniform(n, k, seed, size=size)
     assert rows.shape == (size, k) and rows.dtype == np.int64
     assert (rows >= 0).all() and (rows.sum(axis=1) == n).all()
-    # the one-member form is the batch of one
-    one = sample_uniform(n, k, seed)
-    assert one.n == n and one.k == k
-    assert one.counts == tuple(sample_uniform(n, k, seed, size=1)[0].tolist())
 
 
 def test_audit_a33_z1_golden():

@@ -151,8 +151,8 @@ def test_symmetry_and_identity_exhaustive_small_pairs():
 
 def test_triangle_inequality_for_ks_and_emd():
     rng = np.random.default_rng(17)
-    for _ in range(300):
-        F = [sample_uniform(20, 5, rng) for _ in range(3)]
+    for rows in sample_uniform(20, 5, rng, size=900).reshape(300, 3, 5):
+        F = [FrequencyDistribution(row) for row in rows]
         for d in (ks_distance, emd):
             ab, bc, ac = d(F[0], F[1]), d(F[1], F[2]), d(F[0], F[2])
             assert ac <= ab + bc + 1e-12
@@ -200,16 +200,17 @@ def test_compare_all_shared_zero_bin_flags():
     assert report.chi_square is None and report.kl_sqrt is None
 
 
-def assert_row_matches_report(row, signed, f1, f2):
-    """One kernel row against compare_all: the same NaN pattern, and every
-    defined value within rtol 1e-12. RDS is a difference of two DS values,
-    so its rounding error scales with them rather than with itself; there
-    the tolerance is 1e-12 of the larger DS value."""
+def assert_row_matches_report(columns, i, signed, f1, f2):
+    """Row i of the named kernel columns and of signed RDS against
+    compare_all: the same NaN pattern, and every defined value within
+    rtol 1e-12. RDS is a difference of two DS values, so its rounding
+    error scales with them rather than with itself; there the tolerance
+    is 1e-12 of the larger DS value."""
     report = compare_all(f1, f2)
     scale = max(ds(f1).ds, ds(f2).ds)
-    assert abs(signed - report.rds) <= 1e-12 * scale
-    for name, got in zip(MEASURE_NAMES, row.tolist()):
-        want = getattr(report, name)
+    assert abs(signed[i] - report.rds) <= 1e-12 * scale
+    for name in MEASURE_NAMES:
+        got, want = float(columns[name][i]), getattr(report, name)
         if want is None:
             assert math.isnan(got), name
         elif name == "abs_rds":
@@ -252,11 +253,12 @@ def _pair_batches(draw):
 @given(batch=_pair_batches())
 def test_measure_kernel_matches_compare_all(batch):
     k, a, b = batch
-    rows, signed = _measure_columns(a, b)
-    assert rows.shape == (len(a), len(MEASURE_NAMES)) and signed.shape == (len(a),)
+    columns, signed = _measure_columns(a, b)
+    assert tuple(columns) == MEASURE_NAMES and signed.shape == (len(a),)
+    assert all(column.shape == (len(a),) for column in columns.values())
     for i in range(len(a)):
         f1, f2 = FrequencyDistribution(a[i].tolist()), FrequencyDistribution(b[i].tolist())
-        assert_row_matches_report(rows[i], signed[i], f1, f2)
+        assert_row_matches_report(columns, i, signed, f1, f2)
         if f1 == f2:
             assert signed[i] == 0.0
-            assert all(v == 0.0 for v in rows[i].tolist() if not math.isnan(v))
+            assert all(column[i] == 0.0 for column in columns.values() if not math.isnan(column[i]))

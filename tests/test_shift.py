@@ -109,8 +109,8 @@ def test_ds_accepts_exponent_below_one():
 
 def test_linear_consistency_with_exponent_one():
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        f = sample_uniform(30, 5, rng)
+    for row in sample_uniform(30, 5, rng, size=200):
+        f = FrequencyDistribution(row)
         a = ds_linear(f).ds
         b = ds_with_exponent(f, 1.0).ds
         assert abs(a - b) <= 1e-12
@@ -134,8 +134,8 @@ def test_ds_bounds_extremes_small_sets():
 
 def test_ds_strictly_decreases_moving_mass_right():
     rng = np.random.default_rng(11)
-    for _ in range(300):
-        f = sample_uniform(20, 6, rng)
+    for row in sample_uniform(20, 6, rng, size=300):
+        f = FrequencyDistribution(row)
         counts = list(f.counts)
         sources = [i for i, c in enumerate(counts) if c > 0 and i < len(counts) - 1]
         if not sources:
@@ -152,8 +152,8 @@ def test_ds_strictly_decreases_moving_mass_right():
 
 def test_ds_scale_invariance():
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        f = sample_uniform(14, 5, rng)
+    for row in sample_uniform(14, 5, rng, size=50):
+        f = FrequencyDistribution(row)
         base = ds(f).ds
         for c in (2, 10, 1000):
             scaled = FrequencyDistribution(tuple(x * c for x in f.counts))
@@ -175,9 +175,9 @@ def test_rds_golden():
 
 def test_rds_antisymmetric_and_bounded():
     rng = np.random.default_rng(9)
-    for _ in range(500):
-        f1 = sample_uniform(25, 4, rng)
-        f2 = sample_uniform(25, 4, rng)
+    rows = sample_uniform(25, 4, rng, size=1000)
+    for a, b in zip(rows[0::2], rows[1::2]):
+        f1, f2 = FrequencyDistribution(a), FrequencyDistribution(b)
         forward = rds(f1, f2)
         assert rds(f2, f1) == -forward
         assert abs(forward) <= 1.0
