@@ -15,6 +15,7 @@ whenever a seeded run would draw differently.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -59,7 +60,10 @@ class ExperimentConfig:
 
 def _truncated_poisson_pmf(lam, k: int) -> np.ndarray:
     """The Poisson(lam) pmf on 0..k-1, renormalised; refuses a rate that is
-    not positive and finite, or that leaves a mass below 1e-12 there."""
+    not a positive finite real number (a bool is not one), or that leaves
+    a mass below 1e-12 there."""
+    if isinstance(lam, bool) or not isinstance(lam, (numbers.Real, type(None))):
+        raise ValidationError(f"lam must be a real number, got {lam!r}")
     if lam is None or not 0 < lam < math.inf:
         raise ValidationError(f"lam must be positive and finite, got {lam}")
     # normalised in log space: at large lam every term of the pmf underflows
@@ -175,7 +179,8 @@ def fit_through_origin(xs, ys) -> RegressionSummary:
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValidationError("series must be 1-D and of equal length")
     mask = np.isfinite(xs) & np.isfinite(ys)
-    xs, ys = xs[mask], ys[mask]
+    if not mask.all():  # copy out the kept pairs only when some are dropped
+        xs, ys = xs[mask], ys[mask]
     kept, dropped = len(xs), len(mask) - len(xs)
     with np.errstate(over="ignore"):  # an overflowed sum is degenerate, below
         sxx = float(xs @ xs)

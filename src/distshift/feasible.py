@@ -93,6 +93,7 @@ def enumerate_members(n: int, k: int, cap: int = DEFAULT_CAP) -> Iterator[Freque
     """Stream every member of A(n, k), ordered lexicographically by
     cumulative form, refusing up front if the set exceeds ``cap``."""
     size = cardinality(n, k)
+    _require_int("cap", cap, 0)
     if size > cap:
         raise CapExceededError(n, k, size, cap)
     # a cumulative form is a nondecreasing k-tuple over 0..n ending in n
@@ -104,10 +105,14 @@ def sample_uniform(n: int, k: int, seed, size: int) -> np.ndarray:
     """Draw ``size`` members of A(n, k), each with probability 1/|A(n, k)|,
     as a ``(size, k)`` int64 array of counts, one member per row.
 
-    Each row draws a uniform (k-1)-subset of the n+k-1 slots by Floyd's
-    algorithm, vectorised over rows (k-1 integer draws of ``size``
-    values each), and reads the gaps between the chosen separators as
-    counts (stars and bars), so every composition is equally likely.
+    Each member draws a uniform (k-1)-subset of the n+k-1 slots by
+    Floyd's algorithm (k-1 integer draws of ``size`` values each), and
+    reads the gaps between the sorted separators as counts (stars and
+    bars), so every composition is equally likely. The work is
+    column-major: separator i of every member is one contiguous row of a
+    (k+1, size) array, so the membership test and the sort run along
+    axis 0. The result is the transpose of a C-contiguous (k, size)
+    array: its columns, not its rows, are contiguous.
     ``FrequencyDistribution(row)`` gives one row to the scalar API.
     ``seed`` may be an int or a numpy Generator; identical seeds produce
     identical draws.
@@ -116,16 +121,18 @@ def sample_uniform(n: int, k: int, seed, size: int) -> np.ndarray:
     _require_int("size", size, 0)
     rng = np.random.default_rng(seed)
     slots = n + k - 1
-    chosen = np.empty((size, k + 1), dtype=np.int64)
-    chosen[:, 0], chosen[:, k] = -1, slots
+    chosen = np.empty((k + 1, size), dtype=np.int64)
+    chosen[0], chosen[k] = -1, slots
     # Floyd: for each slot j from n upwards, pick t in 0..j; take t unless
     # it is already taken, and j itself then (j was never a candidate before)
-    for col, j in enumerate(range(n, slots), start=1):
+    for row, j in enumerate(range(n, slots), start=1):
         t = rng.integers(0, j + 1, size=size)
-        taken = (chosen[:, 1:col] == t[:, None]).any(axis=1)
-        chosen[:, col] = np.where(taken, j, t)
-    chosen[:, 1:k].sort(axis=1)
-    return np.diff(chosen, axis=1) - 1
+        taken = (chosen[1:row] == t).any(axis=0)
+        chosen[row] = np.where(taken, j, t)
+    chosen[1:k].sort(axis=0)
+    counts = np.diff(chosen, axis=0)
+    counts -= 1
+    return counts.T
 
 
 @dataclass(frozen=True)
@@ -180,6 +187,7 @@ def audit_uniqueness(
     if not z > 0:
         raise ValidationError(f"exponent must be positive, got {z}")
     _require_int("max_collisions", max_collisions, 0)
+    _require_int("cap", cap, 0)
     size = cardinality(n, k)
     if size > cap:
         raise CapExceededError(n, k, size, cap)

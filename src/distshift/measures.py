@@ -124,40 +124,53 @@ class MeasureReport:
 def _measure_columns(a, b):
     """The ``MEASURE_NAMES`` columns and signed RDS for rows of counts.
 
-    ``a`` and ``b`` are (N, k) integer arrays whose row i is the pair
-    (f1, f2) that ``compare_all`` would take. Returns a dict of seven
-    length-N float arrays keyed by ``MEASURE_NAMES`` in that order, NaN
-    where chi-square or KL is undefined by the rules above, and the N
-    signed RDS values. ``compare_all`` is its oracle.
+    ``a`` and ``b`` are (N, k) integer arrays, in any memory order, whose
+    row i is the pair (f1, f2) that ``compare_all`` would take. Returns a
+    dict of seven length-N float arrays keyed by ``MEASURE_NAMES`` in that
+    order, NaN where chi-square or KL is undefined by the rules above, and
+    the N signed RDS values. ``compare_all`` is its oracle.
+
+    The work runs column-major: each input is copied once into a
+    C-contiguous (k, N) array, so bin i is one contiguous row of N values
+    and every per-pair reduction runs over axis 0, one row at a time,
+    whatever the memory order of the input. Below k = 8 those row-by-row
+    sums round exactly as numpy's sums along a row of length k do; from
+    k = 8 numpy sums a row pairwise, so values may differ from the
+    row-major form in the last bits.
     """
     import numpy as np  # only this batch path needs numpy
 
     k = a.shape[1]
-    n1 = a.sum(axis=1, keepdims=True)
-    n2 = b.sum(axis=1, keepdims=True)
+    a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    # exact integer running totals F_i, one row add per bin
+    tot_a, tot_b = a.copy(), b.copy()
+    for i in range(1, k):
+        tot_a[i] += tot_a[i - 1]
+        tot_b[i] += tot_b[i - 1]
+    n1, n2 = tot_a[-1], tot_b[-1]
     p, q = a / n1, b / n2
-    cum_p, cum_q = np.cumsum(a, axis=1) / n1, np.cumsum(b, axis=1) / n2
+    cum_p, cum_q = tot_a / n1, tot_b / n2
     z = (k + 1) / k  # the default exponent of ``shift.ds``
-    ds1 = (np.power(cum_p, z).sum(axis=1) - 1.0) / (k - 1)
-    ds2 = (np.power(cum_q, z).sum(axis=1) - 1.0) / (k - 1)
+    ds1 = (np.power(cum_p, z).sum(axis=0) - 1.0) / (k - 1)
+    ds2 = (np.power(cum_q, z).sum(axis=0) - 1.0) / (k - 1)
     signed = ds2 - ds1
     diff = p - q
     with np.errstate(divide="ignore", invalid="ignore"):
-        # a bin empty on both sides is 0/0, which makes its row NaN
-        chi = 0.5 * (diff * diff / (p + q)).sum(axis=1)
+        # a bin empty on both sides is 0/0, which makes its pair NaN
+        chi = 0.5 * (diff * diff / (p + q)).sum(axis=0)
         kl_terms = p * np.log(p / q)
     kl_terms[a == 0] = 0.0
-    kl = kl_terms.sum(axis=1)
-    kl[(b == 0).any(axis=1)] = np.nan  # a shared empty bin, or f1 outside f2's support
+    kl = kl_terms.sum(axis=0)
+    kl[(b == 0).any(axis=0)] = np.nan  # a shared empty bin, or f1 outside f2's support
     cum_diff = np.abs(cum_p - cum_q)
     return {
         "abs_rds": np.abs(signed),
         "chi_square": chi,
-        "non_intersection": 0.5 * np.abs(diff).sum(axis=1),
+        "non_intersection": 0.5 * np.abs(diff).sum(axis=0),
         "kl_sqrt": np.sqrt(np.maximum(kl, 0.0)),
-        "ks": cum_diff.max(axis=1),
-        "emd": cum_diff.sum(axis=1),
-        "rps_sqrt": np.sqrt((cum_diff * cum_diff).sum(axis=1)),
+        "ks": cum_diff.max(axis=0),
+        "emd": cum_diff.sum(axis=0),
+        "rps_sqrt": np.sqrt((cum_diff * cum_diff).sum(axis=0)),
     }, signed
 
 

@@ -2,8 +2,8 @@
 
 Nothing here imports from distshift's internals beyond public types, and
 every function recomputes its answer from first principles (linear
-programming, closed-form pmfs, plain big-integer arithmetic), so a bug
-in the library cannot hide inside its own oracle.
+programming, closed-form pmfs, plain big-integer arithmetic, row-by-row
+sampling), so a bug in the library cannot hide inside its own oracle.
 """
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -51,6 +51,24 @@ def ds_fraction(totals, z: int) -> Fraction:
     k = len(totals)
     total = sum(Fraction(t, n) ** z for t in totals)
     return (total - 1) / (k - 1)
+
+
+def floyd_uniform_members(n: int, k: int, seed, size: int) -> np.ndarray:
+    """``size`` uniform members of A(n, k) as a (size, k) array, drawn
+    row-major: Floyd's algorithm picks each row's k-1 separators among
+    the n+k-1 slots from ``size`` draws per separator, in the same order
+    of ``rng.integers`` calls as ``sample_uniform``, then each row is
+    sorted on its own and its gaps are read as counts."""
+    rng = np.random.default_rng(seed)
+    slots = n + k - 1
+    chosen = np.empty((size, k + 1), dtype=np.int64)
+    chosen[:, 0], chosen[:, k] = -1, slots
+    for col, j in enumerate(range(n, slots), start=1):
+        t = rng.integers(0, j + 1, size=size)
+        taken = (chosen[:, 1:col] == t[:, None]).any(axis=1)
+        chosen[:, col] = np.where(taken, j, t)
+    chosen[:, 1:k].sort(axis=1)
+    return np.diff(chosen, axis=1) - 1
 
 
 def compositions(n: int, k: int):

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -49,6 +51,8 @@ def feasible_config(**overrides):
         {"n": True},
         {"k": 3.0},
         {"source": "poisson", "lam": 1000.0, "k": 3},
+        {"source": "poisson", "lam": "5"},
+        {"source": "poisson", "lam": True},
     ],
 )
 def test_config_validation(overrides):
@@ -138,6 +142,29 @@ def test_run_experiment_threads_do_not_change_results():
         assert serial.summaries == other.summaries
     with pytest.raises(ValidationError):
         run_experiment(config, threads=0)
+
+
+def _table_digest(table) -> str:
+    """sha256 over the bytes of every series, the signed RDS and the
+    repr of every summary, in table order."""
+    digest = hashlib.sha256()
+    for name in MEASURE_NAMES:
+        digest.update(table.series[name].tobytes())
+    digest.update(table.signed_rds.tobytes())
+    for key, summary in table.summaries.items():
+        digest.update(repr((key, dataclasses.astuple(summary))).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("source, lam, expected", [
+    ("feasible_set", None, "97bf487f722f31688c5c16953086b660d10bf63ddddbc3683fd847689e6a2e20"),
+    ("poisson", 5.0, "f6405ed49635e1fd1a6a6d5f6116da45f8780ab51198e2463580842cd6924fac"),
+])
+def test_multi_block_golden_digest(source, lam, expected):
+    # stream version 3 at n=100, k=5 over two full blocks and a short one
+    assert experiments.STREAM_VERSION == 3
+    config = ExperimentConfig(source, 100, 5, SPANNING_PAIRS, 7, lam=lam)
+    assert _table_digest(run_experiment(config)) == expected
 
 
 def test_stream_draws_each_block_from_its_own_generator():

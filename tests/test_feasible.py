@@ -22,7 +22,7 @@ from distshift import (
 from distshift import feasible
 from distshift.feasible import _forms_at, _grow_sums, _root_decompositions, _unrank_steps
 
-from oracles import exact_sum_classes
+from oracles import exact_sum_classes, floyd_uniform_members
 from test_shift import A33_CUMULATIVE
 
 
@@ -59,10 +59,18 @@ def test_integer_arguments_are_checked():
         sample_uniform(5, 3, 1, size=-1)
     with pytest.raises(ValidationError, match="max_collisions must be an integer"):
         audit_uniqueness(5, 3, 2, max_collisions=1.5)
+    for bad in (10.5, True, "9", None):
+        with pytest.raises(ValidationError, match="cap must be an integer"):
+            enumerate_members(3, 3, cap=bad)
+        with pytest.raises(ValidationError, match="cap must be an integer"):
+            audit_uniqueness(3, 3, 2, cap=bad)
+    with pytest.raises(ValidationError, match="cap must be at least 0"):
+        enumerate_members(3, 3, cap=-1)
     # numpy integers pass, and size=0 is an empty batch
     assert cardinality(np.int64(5), np.int32(3)) == 21
     assert sample_uniform(np.int64(5), 3, 1, size=np.int64(0)).shape == (0, 3)
     assert audit_uniqueness(5, 3, 2, max_collisions=np.int64(0)).collisions == ()
+    assert len(list(enumerate_members(3, 3, cap=np.int64(10)))) == 10
 
 
 def test_enumerate_a33_listing_verbatim():
@@ -111,6 +119,16 @@ def test_sample_uniform_deterministic_per_seed():
     assert len(set(map(tuple, stream1.tolist()))) > 1
     # a shared generator keeps advancing
     assert not np.array_equal(sample_uniform(12, 4, rng1, size=20), stream1)
+
+
+@pytest.mark.parametrize("n, k", [(100, 2), (100, 5), (100, 8), (100, 20), (1, 2), (1, 5)])
+@pytest.mark.parametrize("size", [0, 1, 8192])
+def test_sample_uniform_matches_row_major_floyd(n, k, size):
+    # the same draws as the row-major loop, from an int seed or a Generator
+    assert np.array_equal(sample_uniform(n, k, 17, size), floyd_uniform_members(n, k, 17, size))
+    got = sample_uniform(n, k, np.random.default_rng(17), size)
+    assert np.array_equal(got, floyd_uniform_members(n, k, np.random.default_rng(17), size))
+    assert got.shape == (size, k) and got.dtype == np.int64
 
 
 def test_sample_uniform_covers_tiny_support():

@@ -235,7 +235,9 @@ def _member(draw, n, k, empty):
 def _pair_batches(draw):
     """(k, rows of f1, rows of f2): each pair shares n, as experiment pairs
     do; bins are forced empty on one side, the other, or both, and some
-    pairs are identical."""
+    pairs are identical. The rows come C-contiguous, or as the even and
+    odd rows of one interleaved C- or F-ordered batch, as the experiment
+    engine passes them."""
     k = draw(st.integers(2, 10))
     bins = st.sets(st.integers(0, k - 1), max_size=k)
     a, b = [], []
@@ -246,7 +248,11 @@ def _pair_batches(draw):
         same = draw(st.booleans())
         a.append(first)
         b.append(first if same else draw(_member(n, k, both | draw(bins))))
-    return k, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    layout = draw(st.sampled_from(["contiguous", "C", "F"]))
+    if layout == "contiguous":
+        return k, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    members = np.array([row for pair in zip(a, b) for row in pair], dtype=np.int64, order=layout)
+    return k, members[0::2], members[1::2]
 
 
 @settings(max_examples=100, deadline=None)
@@ -256,6 +262,10 @@ def test_measure_kernel_matches_compare_all(batch):
     columns, signed = _measure_columns(a, b)
     assert tuple(columns) == MEASURE_NAMES and signed.shape == (len(a),)
     assert all(column.shape == (len(a),) for column in columns.values())
+    # the memory order of the input does not change a bit of the output
+    same_columns, same_signed = _measure_columns(np.ascontiguousarray(a), np.ascontiguousarray(b))
+    assert np.array_equal(signed, same_signed)
+    assert all(np.array_equal(columns[name], same_columns[name], equal_nan=True) for name in columns)
     for i in range(len(a)):
         f1, f2 = FrequencyDistribution(a[i].tolist()), FrequencyDistribution(b[i].tolist())
         assert_row_matches_report(columns, i, signed, f1, f2)
