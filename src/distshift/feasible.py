@@ -13,10 +13,12 @@ free of q-th powers; distinct such radicals are linearly independent
 over the rationals, so two sums are equal exactly when their integer
 coefficients agree radical by radical. One uint64 hash of those
 coefficients, each reduced modulo a prime above every n so that no term
-hashes to 0, finds the candidate collisions. For integer z with
-k * n**z < 2**64 the hash is the exact sum and candidates are
-collisions; otherwise each candidate group is regrouped by its exact
-coefficients before anything is reported.
+hashes to 0, finds the candidate collisions. One regroup decides them:
+the candidates are unranked in one batch, sorted by (hash, form), and
+each hash's forms are split by their exact coefficients, so a
+collision is reported only when two members agree radical by radical.
+For integer z with k * n**z < 2**64 the hash is the exact sum, so only
+the reported hashes need regrouping.
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -179,6 +182,8 @@ def audit_uniqueness(
     smallest shared values, each with its first ``WITNESSES_PER_VALUE``
     cumulative forms in lexicographic order.
     """
+    if isinstance(z, bool) or not isinstance(z, numbers.Real):
+        raise ValidationError(f"exponent must be a real number, got {z!r}")
     if not isinstance(z, (int, Fraction)):
         z = float(z)
         if not math.isfinite(z):
@@ -197,7 +202,7 @@ def audit_uniqueness(
         CollisionRecord(
             value=value,
             count=len(forms),
-            members=tuple(map(tuple, forms[:WITNESSES_PER_VALUE].tolist())),
+            members=tuple(map(tuple, forms[:WITNESSES_PER_VALUE])),
         )
         for value, forms in groups
     )
@@ -228,7 +233,7 @@ def _audit_exact(n: int, k: int, z: Fraction, max_collisions: int):
     Members that share a hash are candidates; they collide only when
     their integer coefficients agree on every radical. The hash is
     injective for integer z while k * n**z < 2**64, so there every
-    candidate group is a collision and only the reported ones are read.
+    shared hash is one collision and only the reported ones are regrouped.
     """
     decomp = _root_decompositions(n, z.numerator, z.denominator)
     table = _hash_table(decomp, n, z)
@@ -236,18 +241,19 @@ def _audit_exact(n: int, k: int, z: Fraction, max_collisions: int):
     sums += table[n]
     hashes, counts = np.unique(sums, return_counts=True)
     shared = hashes[counts >= 2]
-    unique_values = len(hashes)
-    steps = _unrank_steps(n, k)
-    if z.denominator == 1 and k * decomp[n][0] < 2**64:
-        collision_count = len(shared)
-        groups = [_forms_at(idx, n, steps) for idx in _members(sums, shared[:max_collisions])]
-    else:
-        groups = []
-        for idx in _members(sums, shared):
-            split = _split_exact(_forms_at(idx, n, steps), decomp)
-            unique_values += len(split) - 1
-            groups += [forms for forms in split if len(forms) >= 2]
-        collision_count = len(groups)
+    injective = z.denominator == 1 and k * decomp[n][0] < 2**64
+    targets = shared[:max_collisions] if injective else shared
+    positions, which = _members(sums, targets)
+    forms = _forms_at(positions, n, _unrank_steps(n, k))
+    order = np.lexsort((*forms.T[::-1], which))
+    unique_values, groups = len(hashes), []
+    for _, rows in groupby(zip(which[order].tolist(), forms[order].tolist()), key=itemgetter(0)):
+        classes: dict[frozenset, list[list[int]]] = {}
+        for _, form in rows:
+            classes.setdefault(_exact_key(form, decomp), []).append(form)
+        unique_values += len(classes) - 1
+        groups += [members for members in classes.values() if len(members) >= 2]
+    collision_count = len(shared) - len(targets) + len(groups)
 
     if z.denominator == 1:
         def value_of(form):  # correctly rounded sum(t**z) / n**z
@@ -258,7 +264,7 @@ def _audit_exact(n: int, k: int, z: Fraction, max_collisions: int):
         def value_of(form):
             return math.fsum(floats[t] for t in form)
 
-    keyed = sorted((value_of(g[0].tolist()), g[0].tolist(), i) for i, g in enumerate(groups))
+    keyed = sorted((value_of(g[0]), g[0], i) for i, g in enumerate(groups))
     return unique_values, collision_count, [(v, groups[i]) for v, _, i in keyed[:max_collisions]]
 
 
@@ -328,18 +334,14 @@ def _hash_table(decomp: list[tuple[int, tuple]], n: int, z: Fraction) -> np.ndar
     return table
 
 
-def _split_exact(forms: np.ndarray, decomp: list[tuple[int, tuple]]) -> list[np.ndarray]:
-    """Split forms that share a hash into groups of exactly equal value,
-    keyed by their integer coefficient on each radical."""
-    rows: dict[frozenset, list[int]] = {}
-    for i, form in enumerate(forms.tolist()):
-        coeffs: dict[tuple, int] = {}
-        for t in form:
-            u, radical = decomp[t]
-            coeffs[radical] = coeffs.get(radical, 0) + u
-        key = frozenset((radical, c) for radical, c in coeffs.items() if c)
-        rows.setdefault(key, []).append(i)
-    return [forms[r] for r in rows.values()]
+def _exact_key(form: list[int], decomp: list[tuple[int, tuple]]) -> frozenset:
+    """The exact value of sum(t**z) over ``form``: its nonzero integer
+    coefficient on each radical."""
+    coeffs: dict[tuple, int] = {}
+    for t in form:
+        u, radical = decomp[t]
+        coeffs[radical] = coeffs.get(radical, 0) + u
+    return frozenset((radical, c) for radical, c in coeffs.items() if c)
 
 
 def _grow_sums(n: int, k: int, table: np.ndarray) -> np.ndarray:
@@ -363,15 +365,16 @@ def _grow_sums(n: int, k: int, table: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _members(sums: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
-    """Positions in ``sums`` of each value of the sorted ``targets``, one
-    ascending index array per target. Every target must occur in ``sums``.
+def _members(sums: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``sums`` of the values in the sorted ``targets``, and
+    the index in ``targets`` of each one's value, as two flat arrays with
+    the positions ascending.
 
     Looks ``sums`` up in fixed-size chunks so the temporaries stay small
     next to it.
     """
     if not len(targets):
-        return []
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     found, which = [], []
     for start in range(0, len(sums), _LOOKUP_CHUNK):
         chunk = sums[start : start + _LOOKUP_CHUNK]
@@ -380,9 +383,7 @@ def _members(sums: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
         hit = np.flatnonzero(targets[pos] == chunk)
         found.append(hit + start)
         which.append(pos[hit])
-    which = np.concatenate(which)
-    order = np.argsort(which, kind="stable")
-    return np.split(np.concatenate(found)[order], np.flatnonzero(np.diff(which[order])) + 1)
+    return np.concatenate(found), np.concatenate(which)
 
 
 def _unrank_steps(n: int, k: int) -> np.ndarray:
@@ -395,7 +396,7 @@ def _unrank_steps(n: int, k: int) -> np.ndarray:
 
 def _forms_at(indices: np.ndarray, n: int, steps: np.ndarray) -> np.ndarray:
     """Cumulative forms of the members at ``indices`` of the _grow_sums
-    order, one row each, sorted lexicographically.
+    order, one row each, in the order of ``indices``.
 
     Unranks in the combinatorial number system: from the last free
     position down, a_i is the largest a with C(a + i - 1, i) <= rank,
@@ -409,4 +410,4 @@ def _forms_at(indices: np.ndarray, n: int, steps: np.ndarray) -> np.ndarray:
         col = np.searchsorted(steps[i - 1], rank, side="right") - 1
         forms[:, i - 1] = col
         rank -= steps[i - 1, col]
-    return forms[np.lexsort(forms.T[::-1])]
+    return forms

@@ -13,6 +13,7 @@ z = (k + 1) / k. RDS is the signed difference DS(F2) - DS(F1).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .distributions import FrequencyDistribution, ValidationError
@@ -48,6 +49,8 @@ def ds_with_exponent(f: FrequencyDistribution, z) -> ShiftValue:
     The [0, 1] range is guaranteed for z >= 1; values of z in (0, 1) are
     accepted for experimentation.
     """
+    if isinstance(z, bool) or not isinstance(z, numbers.Real):
+        raise ValidationError(f"exponent must be a real number, got {z!r}")
     try:
         z = float(z)
     except OverflowError:

@@ -219,6 +219,17 @@ def test_audit_float_is_its_exact_rational():
     assert audit_uniqueness(60, 5, 1.25).unique_values == 635376
 
 
+@pytest.mark.parametrize(
+    "z, unique, collisions",
+    [(Fraction(1, 2), 549716, 45816), (Fraction(1, 3), 614868, 18009), (Fraction(1, 4), 629706, 5482)],
+)
+def test_audit_unit_fraction_exponents_at_60_5(z, unique, collisions):
+    # tens of thousands of shared hashes, every one regrouped exactly
+    report = audit_uniqueness(60, 5, z)
+    assert (report.unique_values, report.collision_count) == (unique, collisions)
+    assert report.total == 635376 and len(report.collisions) == 20
+
+
 def test_audit_rejects_bad_exponents_and_oversize():
     with pytest.raises(ValidationError):
         audit_uniqueness(3, 3, 0)
@@ -227,6 +238,13 @@ def test_audit_rejects_bad_exponents_and_oversize():
     for z in [float("inf"), float("-inf"), float("nan"), np.float64("inf")]:
         with pytest.raises(ValidationError):
             audit_uniqueness(10, 3, z)
+    # a string or a bool is not read as a number
+    for z in ["1.5", "3/2", True, np.bool_(True)]:
+        with pytest.raises(ValidationError, match="exponent must be a real number"):
+            audit_uniqueness(5, 3, z)
+    # numpy numbers and Fractions are real numbers
+    assert audit_uniqueness(5, 3, np.float64(1.5)) == audit_uniqueness(5, 3, Fraction(3, 2))
+    assert audit_uniqueness(5, 3, np.int64(2)).z == 2
     with pytest.raises(CapExceededError):
         audit_uniqueness(100, 5, 2, cap=100000)
 
@@ -295,6 +313,19 @@ def test_exact_confirmation_splits_false_hash_merges(monkeypatch):
     report = audit_uniqueness(3, 3, Fraction(3, 2))
     assert (report.unique_values, report.total) == (10, 10)
     assert report.collision_count == 0 and report.collisions == ()
+    # all 84 members of A(6, 4) are one candidate group at z = 1/2, which
+    # the regroup must split into the oracle's exact classes
+    z = Fraction(1, 2)
+    classes = exact_sum_classes(6, 4, z)
+    shared = [forms for forms in classes if len(forms) >= 2]
+    report = audit_uniqueness(6, 4, z)
+    assert (report.unique_values, report.collision_count) == (77, 7) == (len(classes), len(shared))
+    assert sorted((rec.count, rec.members) for rec in report.collisions) == sorted(
+        (len(forms), tuple(forms[:4])) for forms in shared
+    )
+    # the counts do not depend on how many records are kept
+    bare = audit_uniqueness(6, 4, z, max_collisions=0)
+    assert (bare.unique_values, bare.collision_count, bare.collisions) == (77, 7, ())
 
 
 def test_hash_table_has_no_zero_term():
@@ -316,7 +347,7 @@ def test_forms_at_inverts_the_grow_order():
         steps = _unrank_steps(n, k)
         for form, rank in zip(forms, ranks):
             assert _forms_at([rank], n, steps).tolist() == [list(form)]
-        assert _forms_at(np.arange(len(forms)), n, steps).tolist() == [list(f) for f in forms]
+        assert _forms_at(np.array(ranks), n, steps).tolist() == [list(f) for f in forms]
         # position r of the grown sums holds the prefix of rank r; base
         # k+1 weights make each sum name its prefix
         weights = np.array([(k + 1) ** a for a in range(n + 1)], dtype=np.int64)
@@ -341,6 +372,9 @@ EXPONENTS = st.one_of(
 @example(n=9, k=4, z=65)
 @example(n=10, k=3, z=Fraction(129, 2))
 @example(n=8, k=5, z=Fraction(129, 2))
+# z = 1/q: 139 and 44 collisions, every shared hash regrouped exactly
+@example(n=9, k=5, z=Fraction(1, 2))
+@example(n=8, k=5, z=Fraction(1, 3))
 def test_audit_matches_exact_oracle(n, k, z):
     classes = exact_sum_classes(n, k, z)
     shared = {forms[0]: forms for forms in classes if len(forms) >= 2}

@@ -99,6 +99,12 @@ def test_ds_rejects_nonpositive_exponent():
     for z in (0, -1.5, math.inf, math.nan, Fraction("1e400"), 10**400):
         with pytest.raises(ValidationError, match="exponent"):
             ds_with_exponent(F, z)
+    # and exponents that are not numbers at all
+    for z in ("2", "3/2", True, np.bool_(True)):
+        with pytest.raises(ValidationError, match="exponent must be a real number"):
+            ds_with_exponent(F, z)
+    # numpy numbers and Fractions are real numbers
+    assert ds_with_exponent(F, np.float64(1.5)) == ds_with_exponent(F, Fraction(3, 2))
 
 
 def test_ds_accepts_exponent_below_one():
