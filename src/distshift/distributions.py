@@ -12,6 +12,9 @@ import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+#: Totals stay below this, so no positive count has a frequency of 0.0 and p/q stays finite.
+_MAX_TOTAL = 2**1023
+
 
 class DistributionError(ValueError):
     """Base class for input errors on distributions."""
@@ -60,6 +63,8 @@ class FrequencyDistribution:
         object.__setattr__(self, "totals", tuple(accumulate(counts)))
         if self.n < 1:
             raise ValidationError("total observations must be at least 1")
+        if self.n >= _MAX_TOTAL:
+            raise ValidationError("total observations must be below 2**1023")
 
     @classmethod
     def from_totals(cls, totals) -> FrequencyDistribution:
@@ -109,6 +114,9 @@ def _parse_csv_line(line: str) -> FrequencyDistribution:
         tok = token.strip()
         if not tok:
             raise ParseError(f"empty field at position {pos}", pos)
+        # int() also takes underscores and any Unicode digit; JSON takes neither
+        if not tok.isascii() or "_" in tok:
+            raise ParseError(f"invalid integer {tok!r} at position {pos}", pos)
         try:
             counts.append(int(tok))
         except ValueError:

@@ -13,7 +13,9 @@ free of q-th powers; distinct such radicals are linearly independent
 over the rationals, so two sums are equal exactly when their integer
 coefficients agree radical by radical. One uint64 hash of those
 coefficients, each reduced modulo a prime above every n so that no term
-hashes to 0, finds the candidate collisions. One regroup decides them:
+hashes to 0, finds the candidate collisions: one sorted copy of the
+hashes counts the distinct ones and lists those that repeat, about
+18 B per member with the hashes themselves. One regroup decides them:
 the candidates are unranked in one batch, sorted by (hash, form), and
 each hash's forms are split by their exact coefficients, so a
 collision is reported only when two members agree radical by radical.
@@ -22,6 +24,7 @@ the reported hashes need regrouping.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
 from dataclasses import dataclass
@@ -197,23 +200,51 @@ def audit_uniqueness(
     if size > cap:
         raise CapExceededError(n, k, size, cap)
 
-    unique_values, collision_count, groups = _audit_exact(n, k, z, max_collisions)
-    records = tuple(
-        CollisionRecord(
-            value=value,
-            count=len(forms),
-            members=tuple(map(tuple, forms[:WITNESSES_PER_VALUE])),
-        )
-        for value, forms in groups
-    )
+    decomp = _root_decompositions(n, z.numerator, z.denominator)
+    table = _hash_table(decomp, n, z)
+    sums = _grow_sums(n, k, table)
+    sums += table[n]
+    # count distinct hashes, and list the repeated ones ascending, from one
+    # sorted copy, freed before the candidates are found in sums (colex order)
+    ordered = np.sort(sums)
+    repeat = ordered[1:] == ordered[:-1]
+    unique_values = size - int(np.count_nonzero(repeat))
+    repeat[1:] &= ~repeat[:-1]
+    shared = ordered[1:][repeat]
+    del ordered, repeat
+    # members sharing a hash are candidates; they collide only when their
+    # integer coefficients agree on every radical. The hash is injective
+    # for integer z while k * n**z < 2**64, so there every shared hash is
+    # one collision and only the reported ones are regrouped
+    injective = z.denominator == 1 and k * decomp[n][0] < 2**64
+    targets = shared[:max_collisions] if injective else shared
+    positions, which = _members(sums, targets)
+    forms = _forms_at(positions, n, _unrank_steps(n, k))
+    order = np.lexsort((*forms.T[::-1], which))
+    groups = []
+    for _, rows in groupby(zip(which[order].tolist(), forms[order].tolist()), key=itemgetter(0)):
+        classes: dict[frozenset, list[list[int]]] = {}
+        for _, form in rows:
+            classes.setdefault(_exact_key(form, decomp), []).append(form)
+        unique_values += len(classes) - 1
+        groups += [members for members in classes.values() if len(members) >= 2]
+
+    if z.denominator == 1:
+        def value_of(form):  # correctly rounded sum(t**z) / n**z
+            return sum(decomp[t][0] for t in form) / decomp[n][0]
+    else:
+        floats = ((np.arange(n + 1, dtype=np.float64) / n) ** float(z)).tolist()
+
+        def value_of(form):
+            return math.fsum(floats[t] for t in form)
+
     return UniquenessReport(
-        n=n,
-        k=k,
-        z=z,
-        total=size,
-        unique_values=unique_values,
-        collision_count=collision_count,
-        collisions=records,
+        n=n, k=k, z=z, total=size, unique_values=unique_values,
+        collision_count=len(shared) - len(targets) + len(groups),
+        collisions=tuple(
+            CollisionRecord(value_of(g[0]), len(g), tuple(map(tuple, g[:WITNESSES_PER_VALUE])))
+            for g in heapq.nsmallest(max_collisions, groups, key=lambda c: (value_of(c[0]), c[0]))
+        ),
     )
 
 
@@ -225,47 +256,6 @@ def audit_uniqueness_default(n: int, k: int, **kwargs) -> UniquenessReport:
     """
     _validate_nk(n, k)
     return audit_uniqueness(n, k, Fraction(k + 1, k), **kwargs)
-
-
-def _audit_exact(n: int, k: int, z: Fraction, max_collisions: int):
-    """(unique values, collision count, [(value, forms)]) for the exponent z.
-
-    Members that share a hash are candidates; they collide only when
-    their integer coefficients agree on every radical. The hash is
-    injective for integer z while k * n**z < 2**64, so there every
-    shared hash is one collision and only the reported ones are regrouped.
-    """
-    decomp = _root_decompositions(n, z.numerator, z.denominator)
-    table = _hash_table(decomp, n, z)
-    sums = _grow_sums(n, k, table)
-    sums += table[n]
-    hashes, counts = np.unique(sums, return_counts=True)
-    shared = hashes[counts >= 2]
-    injective = z.denominator == 1 and k * decomp[n][0] < 2**64
-    targets = shared[:max_collisions] if injective else shared
-    positions, which = _members(sums, targets)
-    forms = _forms_at(positions, n, _unrank_steps(n, k))
-    order = np.lexsort((*forms.T[::-1], which))
-    unique_values, groups = len(hashes), []
-    for _, rows in groupby(zip(which[order].tolist(), forms[order].tolist()), key=itemgetter(0)):
-        classes: dict[frozenset, list[list[int]]] = {}
-        for _, form in rows:
-            classes.setdefault(_exact_key(form, decomp), []).append(form)
-        unique_values += len(classes) - 1
-        groups += [members for members in classes.values() if len(members) >= 2]
-    collision_count = len(shared) - len(targets) + len(groups)
-
-    if z.denominator == 1:
-        def value_of(form):  # correctly rounded sum(t**z) / n**z
-            return sum(decomp[t][0] for t in form) / decomp[n][0]
-    else:
-        floats = ((np.arange(n + 1, dtype=np.float64) / n) ** float(z)).tolist()
-
-        def value_of(form):
-            return math.fsum(floats[t] for t in form)
-
-    keyed = sorted((value_of(g[0]), g[0], i) for i, g in enumerate(groups))
-    return unique_values, collision_count, [(v, groups[i]) for v, _, i in keyed[:max_collisions]]
 
 
 def _smallest_prime_factors(n: int) -> list[int]:

@@ -116,6 +116,12 @@ def test_rds_unequal_k(capsys):
         assert err == "error: bin counts differ (k=3 vs k=4)\n"
 
 
+def test_compare_refuses_a_total_beyond_floats(capsys):
+    code, out, err = run(capsys, "compare", "--a", "1,1", "--b", "1," + "9" * 401)
+    assert code == 1 and out == ""
+    assert err == "error: total observations must be below 2**1023\n"
+
+
 COMPARE_HEADER = "rds,abs_rds,chi_square,non_intersection,kl_sqrt,ks,emd,rps_sqrt"
 
 

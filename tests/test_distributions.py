@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from distshift import (
     FrequencyDistribution,
     ParseError,
     ValidationError,
+    kl_divergence,
     parse_distributions,
 )
 
@@ -26,6 +28,17 @@ def test_frequency_distribution_derives_n_and_k():
 def test_frequency_distribution_rejects_invalid_counts(counts):
     with pytest.raises(ValidationError):
         FrequencyDistribution(counts)
+
+
+def test_total_must_be_below_2_pow_1023():
+    for counts in [(1, 10**400), (10**400, 1), (1, 2**1023 - 1)]:
+        with pytest.raises(ValidationError, match="below 2\\*\\*1023"):
+            FrequencyDistribution(counts)
+    # just below the bound every frequency is positive and every ratio finite
+    big, small = FrequencyDistribution((1, 2**1023 - 2)), FrequencyDistribution((1, 1))
+    for f1, f2 in [(big, small), (small, big)]:
+        value = kl_divergence(f1, f2)
+        assert 0 < value < math.inf
 
 
 def test_frequency_distribution_accepts_numpy_integers():
@@ -112,6 +125,15 @@ def test_parse_error_carries_position():
     assert info.value.position == 2
     with pytest.raises(ParseError):
         parse_distributions("1,x,3", "csv")
+    # int() would take underscores and non-ASCII digits; JSON takes neither
+    for text, pos in [("1_000,2", 1), ("2,\u0661", 2), ("1,\uff12", 2), ("1,2_", 2)]:
+        with pytest.raises(ParseError, match="invalid integer") as info:
+            parse_distributions(text, "csv")
+        assert info.value.position == pos
+    assert parse_distributions("+1, 2 ", "csv")[0].counts == (1, 2)
+    for text in ["1.5,2", "1e3,2"]:
+        with pytest.raises(ValidationError, match="non-integer count"):
+            parse_distributions(text, "csv")
 
 
 def test_parse_empty_input():

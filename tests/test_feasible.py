@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -228,6 +229,35 @@ def test_audit_unit_fraction_exponents_at_60_5(z, unique, collisions):
     report = audit_uniqueness(60, 5, z)
     assert (report.unique_values, report.collision_count) == (unique, collisions)
     assert report.total == 635376 and len(report.collisions) == 20
+
+
+def test_audit_memory_per_member():
+    # tracemalloc sees numpy buffers too: the uint64 sums, one sorted copy
+    # and its repeat mask come to about 18 B per member
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = audit_uniqueness_default(60, 5)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert report.fully_unique
+    assert peak <= 24 * report.total
+
+
+@pytest.mark.parametrize("n, k, z, collisions", [(9, 5, Fraction(1, 2), 139), (10, 5, 2, 240)])
+def test_audit_records_are_a_prefix(n, k, z, collisions):
+    # non-injective (every shared hash regrouped) and injective (only the
+    # reported ones): fewer records are the first of the full list
+    full = audit_uniqueness(n, k, z, max_collisions=20)
+    assert full.collision_count == collisions and len(full.collisions) == 20
+    for m in (0, 1, 3):
+        report = audit_uniqueness(n, k, z, max_collisions=m)
+        assert report.collisions == full.collisions[:m]
+        assert (report.unique_values, report.collision_count) == (
+            full.unique_values,
+            full.collision_count,
+        )
 
 
 def test_audit_rejects_bad_exponents_and_oversize():
