@@ -39,7 +39,7 @@ from .feasible import (
     sample_uniform,
 )
 from .measures import MEASURE_NAMES, compare_all
-from .shift import ds, ds_linear, ds_with_exponent, rds
+from .shift import ds, ds_with_exponent, rds
 
 
 def _machine(x: float) -> str:
@@ -132,12 +132,7 @@ def _cmd_ds(args) -> int:
         raise DistributionError(f"expected n={args.expect_n}, parsed n={f.n}")
     if args.expect_k is not None and f.k != args.expect_k:
         raise DistributionError(f"expected k={args.expect_k}, parsed k={f.k}")
-    if args.linear:
-        value = ds_linear(f)
-    elif args.z is not None:
-        value = ds_with_exponent(f, _parse_exponent(args.z))
-    else:
-        value = ds(f)
+    value = ds(f) if args.z is None else ds_with_exponent(f, _parse_exponent(args.z))
     text = f"ds = {_human(value.ds)}  (z = {_human(value.z_used)}, n = {value.n}, k = {value.k})"
     _emit(args, asdict(value), [text])
     return 0
@@ -309,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--input-format", choices=("csv", "json"), default="csv", help="format of input files"
     )
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--linear", action="store_true", help="use z = 1")
+    group.add_argument("--linear", action="store_const", dest="z", const="1", help="use z = 1")
     group.add_argument(
         "--z", default=None, help="exponent z > 0 as an integer, p/q or decimal (1.5 or 3/2)"
     )

@@ -14,6 +14,7 @@ from itertools import accumulate
 
 #: Totals stay below this, so no positive count has a frequency of 0.0 and p/q stays finite.
 _MAX_TOTAL = 2**1023
+_TOO_LARGE = "total observations must be below 2**1023"
 
 
 class DistributionError(ValueError):
@@ -64,7 +65,7 @@ class FrequencyDistribution:
         if self.n < 1:
             raise ValidationError("total observations must be at least 1")
         if self.n >= _MAX_TOTAL:
-            raise ValidationError("total observations must be below 2**1023")
+            raise ValidationError(_TOO_LARGE)
 
     @classmethod
     def from_totals(cls, totals) -> FrequencyDistribution:
@@ -120,6 +121,8 @@ def _parse_csv_line(line: str) -> FrequencyDistribution:
         try:
             counts.append(int(tok))
         except ValueError:
+            if tok[tok[0] in "+-":].isdigit():  # past int()'s digit limit, so beyond _MAX_TOTAL
+                raise ValidationError(f"count too long at position {pos}: {_TOO_LARGE}") from None
             try:
                 float(tok)
             except ValueError:
@@ -133,6 +136,10 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
+    except ValueError:  # an integer past int()'s digit limit, so beyond _MAX_TOTAL
+        raise ValidationError(f"count too long: {_TOO_LARGE}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def _counts_from_json(value) -> FrequencyDistribution:

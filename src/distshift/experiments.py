@@ -113,11 +113,6 @@ def sample_poisson_distribution(lam: float, n: int, k: int, seed, size: int) -> 
     return np.random.default_rng(seed).multinomial(n, _truncated_poisson_pmf(lam, k), size=size)
 
 
-def _block_generator(seed: int, block: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> CorrelationTable:
     """Generate pairs, measure them block by block, and fit every pairwise
     regression.
@@ -154,7 +149,7 @@ def _compute_block(config: ExperimentConfig, block: int):
     globals at call time, so a wrapper set on this module sees each call.
     """
     m = min(BLOCK, config.num_pairs - block * BLOCK)
-    rng = _block_generator(config.seed, block)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(block,)))
     if config.source == "feasible_set":
         members = sample_uniform(config.n, config.k, rng, size=2 * m)
     else:

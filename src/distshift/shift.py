@@ -8,7 +8,8 @@ of exponentiated cumulative totals F_i, ``FrequencyDistribution.totals``,
     DS = (sum_i (F_i / n)**z - 1) / (k - 1)
 
 with z = 1 (linear), a caller-chosen z, or the bin-dependent default
-z = (k + 1) / k. RDS is the signed difference DS(F2) - DS(F1).
+z = (k + 1) / k. z = 1 is computed exactly, any other z as a compensated
+sum of rounded terms. RDS is the signed difference DS(F2) - DS(F1).
 """
 from __future__ import annotations
 
@@ -35,19 +36,17 @@ def _require_equal_k(f1: FrequencyDistribution, f2: FrequencyDistribution) -> No
 
 
 def ds_linear(f: FrequencyDistribution) -> ShiftValue:
-    """Linear shift: (sum(F)/n - 1) / (k - 1), computed exactly in integers."""
-    n, k = f.n, f.k
-    value = (sum(f.totals) - n) / (n * (k - 1))
-    return ShiftValue(ds=value, z_used=1.0, n=n, k=k)
+    """Linear shift: (sum(F)/n - 1) / (k - 1), the exact case z = 1."""
+    return ds_with_exponent(f, 1)
 
 
 def ds_with_exponent(f: FrequencyDistribution, z) -> ShiftValue:
     """Shift with an explicit exponent z > 0, given as any real that fits a float.
 
-    The sum is accumulated as sum((F_i/n)**z) with compensated summation,
-    which avoids overflow at large n and keeps the result exactly rounded.
-    The [0, 1] range is guaranteed for z >= 1; values of z in (0, 1) are
-    accepted for experimentation.
+    At z = 1 the value is (sum(F) - n) / (n * (k - 1)) in exact integers,
+    correctly rounded. Any other z takes a compensated sum of the rounded
+    terms (F_i/n)**z, which avoids overflow at large n. The [0, 1] range
+    is guaranteed for z >= 1; z in (0, 1) is accepted for experimentation.
     """
     if isinstance(z, bool) or not isinstance(z, numbers.Real):
         raise ValidationError(f"exponent must be a real number, got {z!r}")
@@ -58,6 +57,8 @@ def ds_with_exponent(f: FrequencyDistribution, z) -> ShiftValue:
     if not 0 < z < math.inf:
         raise ValidationError(f"exponent must be positive and finite, got {z}")
     n, k = f.n, f.k
+    if z == 1:
+        return ShiftValue(ds=(sum(f.totals) - n) / (n * (k - 1)), z_used=z, n=n, k=k)
     total = math.fsum((t / n) ** z for t in f.totals)
     return ShiftValue(ds=(total - 1.0) / (k - 1), z_used=z, n=n, k=k)
 

@@ -33,7 +33,7 @@ from distshift import (
 )
 from distshift.cli import main
 
-from oracles import transport_emd
+from oracles import assignment_emd
 from test_shift import A33_CUMULATIVE
 
 from_totals = FrequencyDistribution.from_totals
@@ -208,14 +208,14 @@ def test_criterion_5_property_suites():
                 scaled = FrequencyDistribution(tuple(c * x for x in base.counts))
                 assert abs(ds(scaled).ds - reference) <= 1e-12 * max(1.0, abs(reference))
 
-    # closed-form EMD equals the transportation-program optimum on all pairs
+    # closed-form EMD equals the transport optimum on all pairs; with equal
+    # n that optimum is an assignment of unit atoms
     for k in range(2, 5):
         for n in range(1, 6):
             members = list(enumerate_members(n, k))
-            probs = [np.array(m.counts) / n for m in members]
-            for f1, p1 in zip(members, probs):
-                for f2, p2 in zip(members, probs):
-                    assert abs(emd(f1, f2) - transport_emd(p1, p2)) <= 1e-9
+            for f1 in members:
+                for f2 in members:
+                    assert abs(emd(f1, f2) - assignment_emd(f1.counts, f2.counts)) <= 1e-9
 
     # sampler goodness of fit at the 0.1% level, 1e5 draws per set
     for n, k, seed in ((3, 3, 5), (4, 4, 6)):

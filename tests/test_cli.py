@@ -1,9 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import distshift
 from distshift import MEASURE_NAMES, sample_uniform
 from distshift.cli import main
 from distshift.experiments import BLOCK, STREAM_VERSION
@@ -27,6 +32,24 @@ def test_ds_linear_text(capsys):
     code, out, _ = run(capsys, "ds", "--inline", "2,1,1", "--linear")
     assert code == 0
     assert out == "ds = 0.625  (z = 1, n = 4, k = 3)\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_ds_linear_is_z_one(capsys, fmt):
+    outputs = {
+        run(capsys, "ds", "--inline", "3,1,2", *flags, "--format", fmt)
+        for flags in (["--linear"], ["--z", "1"], ["--z", "1.0"])
+    }
+    assert len(outputs) == 1
+    code, out, err = outputs.pop()
+    assert code == 0 and err == "" and "0.5833" in out
+
+
+def test_ds_linear_excludes_z(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["ds", "--inline", "3,1,2", "--linear", "--z", "2"])
+    assert info.value.code == 2
+    assert "not allowed with argument --linear" in capsys.readouterr().err
 
 
 def test_ds_explicit_exponent(capsys):
@@ -120,6 +143,29 @@ def test_compare_refuses_a_total_beyond_floats(capsys):
     code, out, err = run(capsys, "compare", "--a", "1,1", "--b", "1," + "9" * 401)
     assert code == 1 and out == ""
     assert err == "error: total observations must be below 2**1023\n"
+
+
+@pytest.mark.parametrize(
+    "text, fmt, message",
+    [
+        ("1," + "9" * 5000, "csv", "count too long at position 2"),
+        ("[1," + "9" * 5000 + "]", "json", "count too long"),
+        ("[" * 100_000 + "]" * 100_000, "json", "nested too deeply"),
+    ],
+    ids=["csv-long", "json-long", "json-deep"],
+)
+def test_ds_refuses_over_long_and_over_deep_input(tmp_path, text, fmt, message):
+    # run as a program, so an escaped exception would print a traceback
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    src = str(Path(distshift.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "distshift.cli", "ds", "--input", str(path), "--input-format", fmt],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 COMPARE_HEADER = "rds,abs_rds,chi_square,non_intersection,kl_sqrt,ks,emd,rps_sqrt"

@@ -34,6 +34,13 @@ def test_total_must_be_below_2_pow_1023():
     for counts in [(1, 10**400), (10**400, 1), (1, 2**1023 - 1)]:
         with pytest.raises(ValidationError, match="below 2\\*\\*1023"):
             FrequencyDistribution(counts)
+    # a count past int()'s digit limit has at least 640 digits, so it is
+    # refused by the bound, not as a non-integer or a plain ValueError
+    for sign in ["", "+", "-"]:
+        with pytest.raises(ValidationError, match="at position 2: total observations must be below"):
+            parse_distributions("1," + sign + "9" * 5000, "csv")
+    with pytest.raises(ValidationError, match="below 2\\*\\*1023"):
+        parse_distributions("[1," + "9" * 5000 + "]", "json")
     # just below the bound every frequency is positive and every ratio finite
     big, small = FrequencyDistribution((1, 2**1023 - 2)), FrequencyDistribution((1, 1))
     for f1, f2 in [(big, small), (small, big)]:
@@ -126,7 +133,8 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError):
         parse_distributions("1,x,3", "csv")
     # int() would take underscores and non-ASCII digits; JSON takes neither
-    for text, pos in [("1_000,2", 1), ("2,\u0661", 2), ("1,\uff12", 2), ("1,2_", 2)]:
+    cases = [("1_000,2", 1), ("2,\u0661", 2), ("1,\uff12", 2), ("1,2_", 2), ("1,--" + "9" * 5000, 2)]
+    for text, pos in cases:
         with pytest.raises(ParseError, match="invalid integer") as info:
             parse_distributions(text, "csv")
         assert info.value.position == pos
@@ -169,3 +177,5 @@ def test_parse_distributions_rejects_malformed_json():
         parse_distributions("[1, 2,", "json")
     with pytest.raises(ParseError):
         parse_distributions('"text"', "json")
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_distributions("[" * 100_000 + "]" * 100_000, "json")

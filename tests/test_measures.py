@@ -21,7 +21,7 @@ from distshift import (
 )
 from distshift.measures import _measure_columns
 
-from oracles import compositions, transport_emd
+from oracles import assignment_emd, compositions, transport_emd
 
 
 def fd(*counts):
@@ -95,7 +95,10 @@ def test_emd_equals_transport_oracle_on_small_pairs():
         for f2 in members:
             p2 = np.array(f2.counts) / f2.n
             closed_form = emd(f1, f2)
-            assert closed_form == pytest.approx(transport_emd(p1, p2), abs=1e-9)
+            linear_program = transport_emd(p1, p2)
+            assert closed_form == pytest.approx(linear_program, abs=1e-9)
+            # the two oracles agree where both apply (equal n)
+            assert assignment_emd(f1.counts, f2.counts) == pytest.approx(linear_program, abs=1e-9)
 
 
 def test_rps_hand_values():

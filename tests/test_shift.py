@@ -10,6 +10,7 @@ from distshift import (
     ds,
     ds_linear,
     ds_with_exponent,
+    enumerate_members,
     rds,
     sample_uniform,
 )
@@ -119,7 +120,21 @@ def test_linear_consistency_with_exponent_one():
         f = FrequencyDistribution(row)
         a = ds_linear(f).ds
         b = ds_with_exponent(f, 1.0).ds
-        assert abs(a - b) <= 1e-12
+        assert a == b
+
+
+def test_z_one_is_exact_on_every_small_member():
+    # z = 1 however it is spelled, and ds_linear, give the correctly rounded
+    # rational; a compensated sum of rounded terms misses it on (3, 1, 2)
+    assert ds_linear(FrequencyDistribution((3, 1, 2))).ds == float(Fraction(7, 12))
+    spellings = (1, 1.0, Fraction(1), np.float64(1.0))
+    for k in (3, 5):
+        for n in range(1, 16):
+            for f in enumerate_members(n, k):
+                exact = float(ds_fraction(f.totals, 1))
+                assert ds_linear(f).ds == exact
+                for z in spellings:
+                    assert ds_with_exponent(f, z).ds == exact
 
 
 def test_ds_bounds_extremes_small_sets():
