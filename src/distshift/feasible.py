@@ -13,10 +13,11 @@ free of q-th powers; distinct such radicals are linearly independent
 over the rationals, so two sums are equal exactly when their integer
 coefficients agree radical by radical. One uint64 hash of those
 coefficients, each reduced modulo a prime above every n so that no term
-hashes to 0, finds the candidate collisions: one sorted copy of the
-hashes counts the distinct ones and lists those that repeat, about
-18 B per member with the hashes themselves. One regroup decides them:
-the candidates are unranked in one batch, sorted by (hash, form), and
+hashes to 0, finds the candidate collisions: the hashes, sorted in
+place, count the distinct ones and list those that repeat, about 10 B
+per member. Only when a hash repeats are the hashes grown again, in
+colex order, to find its members. One regroup decides them: the
+candidates are unranked in one batch, sorted by (hash, form), and
 each hash's forms are split by their exact coefficients, so a
 collision is reported only when two members agree radical by radical.
 For integer z with k * n**z < 2**64 the hash is the exact sum, so only
@@ -37,7 +38,8 @@ import numpy as np
 
 from .distributions import FrequencyDistribution, ValidationError
 
-#: Default ceiling on feasible-set size for enumeration and audits.
+#: Default ceiling on feasible-set size for enumeration and audits. An
+#: audit at the cap, 20M members, takes about 200 MB.
 DEFAULT_CAP = 20_000_000
 #: Cumulative forms an audit reports per collision record.
 WITNESSES_PER_VALUE = 4
@@ -204,21 +206,21 @@ def audit_uniqueness(
     table = _hash_table(decomp, n, z)
     sums = _grow_sums(n, k, table)
     sums += table[n]
-    # count distinct hashes, and list the repeated ones ascending, from one
-    # sorted copy, freed before the candidates are found in sums (colex order)
-    ordered = np.sort(sums)
-    repeat = ordered[1:] == ordered[:-1]
+    # count distinct hashes, and list the repeated ones ascending, from the
+    # sums sorted in place; _members regrows them in colex order if need be
+    sums.sort()
+    repeat = sums[1:] == sums[:-1]
     unique_values = size - int(np.count_nonzero(repeat))
     repeat[1:] &= ~repeat[:-1]
-    shared = ordered[1:][repeat]
-    del ordered, repeat
+    shared = sums[1:][repeat]
+    del sums, repeat
     # members sharing a hash are candidates; they collide only when their
     # integer coefficients agree on every radical. The hash is injective
     # for integer z while k * n**z < 2**64, so there every shared hash is
     # one collision and only the reported ones are regrouped
     injective = z.denominator == 1 and k * decomp[n][0] < 2**64
     targets = shared[:max_collisions] if injective else shared
-    positions, which = _members(sums, targets)
+    positions, which = _members(n, k, table, targets)
     forms = _forms_at(positions, n, _unrank_steps(n, k))
     order = np.lexsort((*forms.T[::-1], which))
     groups = []
@@ -355,16 +357,22 @@ def _grow_sums(n: int, k: int, table: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _members(sums: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in ``sums`` of the values in the sorted ``targets``, and
-    the index in ``targets`` of each one's value, as two flat arrays with
-    the positions ascending.
+def _members(
+    n: int, k: int, table: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Colex positions of the members of A(n, k) whose hash is in the
+    sorted ``targets``, and the index in ``targets`` of each one's hash,
+    as two flat arrays with the positions ascending.
 
-    Looks ``sums`` up in fixed-size chunks so the temporaries stay small
-    next to it.
+    The hashes are grown again, only when there is a target: growth is
+    deterministic, so they match the ones the audit sorted. They are
+    looked up in fixed-size chunks so the temporaries stay small next to
+    them.
     """
     if not len(targets):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    sums = _grow_sums(n, k, table)
+    sums += table[n]
     found, which = [], []
     for start in range(0, len(sums), _LOOKUP_CHUNK):
         chunk = sums[start : start + _LOOKUP_CHUNK]

@@ -5,11 +5,13 @@ run prints one pass/fail line per criterion. Runtime limits are asserted
 alongside the numeric checks.
 """
 import itertools
+import resource
 import time
 import warnings
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from distshift import (
@@ -32,6 +34,7 @@ from distshift import (
     sample_uniform,
 )
 from distshift.cli import main
+from distshift.feasible import DEFAULT_CAP
 
 from oracles import assignment_emd
 from test_shift import A33_CUMULATIVE
@@ -108,6 +111,21 @@ def test_criterion_3_uniqueness_audits():
     assert members_audited == 176_483_332
 
     assert time.perf_counter() - start < 600.0
+
+
+@pytest.mark.reach
+def test_criterion_3_reach():
+    # opt-in, pytest -m reach: the 13 cells criterion 3 skips, 944.6M
+    # members; A(30, 10) alone needs about 2.1 GB. Run with -s to see
+    # each cell's size and time and the run's peak RSS
+    cells = [(n, k) for n in range(1, 31) for k in range(2, 11) if cardinality(n, k) > DEFAULT_CAP]
+    assert len(cells) == 13
+    for n, k in cells:
+        start = time.perf_counter()
+        report = audit_uniqueness_default(n, k, cap=10**9)
+        print(f"A({n}, {k}): {report.total} members, {time.perf_counter() - start:.1f} s")
+        assert report.fully_unique, (n, k)
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
 
 
 CUMULATIVE_GROUP = ("abs_rds", "ks", "emd", "rps_sqrt")

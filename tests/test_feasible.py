@@ -231,18 +231,46 @@ def test_audit_unit_fraction_exponents_at_60_5(z, unique, collisions):
     assert report.total == 635376 and len(report.collisions) == 20
 
 
-def test_audit_memory_per_member():
-    # tracemalloc sees numpy buffers too: the uint64 sums, one sorted copy
-    # and its repeat mask come to about 18 B per member
+@pytest.mark.parametrize(
+    "audit, fully_unique",
+    [
+        pytest.param(lambda: audit_uniqueness_default(60, 6), True, id="default-60-6"),
+        pytest.param(lambda: audit_uniqueness(80, 5, 2), False, id="regrow-80-5-z2"),
+    ],
+)
+def test_audit_memory_per_member(audit, fully_unique):
+    # tracemalloc sees numpy buffers too: the uint64 sums, sorted in place,
+    # and their repeat mask come to about 10 B per member, and so do the
+    # sums regrown when a hash repeats. Fixed overheads add over 1 B per
+    # member to the 0.6M of A(60, 5), so the audits measured are larger
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        report = audit_uniqueness_default(60, 5)
+        report = audit()
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert report.fully_unique
-    assert peak <= 24 * report.total
+    assert report.fully_unique == fully_unique
+    assert peak <= 12 * report.total
+
+
+@pytest.mark.parametrize(
+    "audit, calls",
+    [
+        pytest.param(lambda: audit_uniqueness_default(30, 5), 1, id="default-30-5"),
+        pytest.param(lambda: audit_uniqueness(10, 5, 2), 2, id="injective-10-5-z2"),
+        pytest.param(lambda: audit_uniqueness(9, 5, Fraction(1, 2)), 2, id="regrouped-9-5-z1_2"),
+    ],
+)
+def test_audit_regrows_only_when_a_hash_repeats(monkeypatch, audit, calls):
+    # the hashes are sorted in place; only an audit with a shared hash,
+    # injective (z = 2) or regrouped in full (z = 1/2), grows them again
+    grown = []
+    grow = feasible._grow_sums
+    monkeypatch.setattr(feasible, "_grow_sums", lambda *args: grown.append(args) or grow(*args))
+    report = audit()
+    assert len(grown) == calls
+    assert report.fully_unique == (calls == 1)
 
 
 @pytest.mark.parametrize("n, k, z, collisions", [(9, 5, Fraction(1, 2), 139), (10, 5, 2, 240)])
