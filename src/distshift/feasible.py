@@ -16,7 +16,9 @@ coefficients, each reduced modulo a prime above every n so that no term
 hashes to 0, finds the candidate collisions: the hashes, sorted in
 place, count the distinct ones and list those that repeat, about 10 B
 per member. Only when a hash repeats are the hashes grown again, in
-colex order, to find its members. One regroup decides them: the
+colex order, to find its members: a 2**16-entry table of the repeated
+hashes' low bits screens each member, and only the members it passes
+are searched for exactly. One regroup decides them: the
 candidates are unranked in one batch, sorted by (hash, form), and
 each hash's forms are split by their exact coefficients, so a
 collision is reported only when two members agree radical by radical.
@@ -52,6 +54,10 @@ _HASH_PRIME = 2**64 - 59
 _AUDIT_ENTROPY = 0x1BD49A56F0C3
 #: Members looked up per step when finding the members of shared hashes.
 _LOOKUP_CHUNK = 1 << 18
+#: Entries of the flag table, indexed by a hash's low bits, that screens
+#: members before the exact lookup. 64 KiB stays in cache; a 2**20 table
+#: was slower with hundreds of targets, faster only with tens of thousands.
+_SCREEN_SIZE = 1 << 16
 #: Largest exact coefficient, in bits, an exact audit may build: the
 #: biggest, n**(p//q), has about (p // q) * log2(n) bits.
 MAX_COEFFICIENT_BITS = 1 << 16
@@ -367,20 +373,28 @@ def _members(
     The hashes are grown again, only when there is a target: growth is
     deterministic, so they match the ones the audit sorted. They are
     looked up in fixed-size chunks so the temporaries stay small next to
-    them.
+    them. A table of 2**16 flags, one per value of a hash's low 16 bits,
+    marks the targets' low bits and screens each member first: only the
+    members it passes are binary-searched, and each is confirmed by
+    exact equality, so the screen drops no member of a target.
     """
     if not len(targets):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     sums = _grow_sums(n, k, table)
     sums += table[n]
+    low = np.uint64(_SCREEN_SIZE - 1)
+    seen = np.zeros(_SCREEN_SIZE, dtype=bool)
+    seen[targets & low] = True
     found, which = [], []
     for start in range(0, len(sums), _LOOKUP_CHUNK):
         chunk = sums[start : start + _LOOKUP_CHUNK]
+        hit = np.flatnonzero(seen[chunk & low])
+        chunk = chunk[hit]
         pos = np.searchsorted(targets, chunk)
         np.minimum(pos, len(targets) - 1, out=pos)
-        hit = np.flatnonzero(targets[pos] == chunk)
-        found.append(hit + start)
-        which.append(pos[hit])
+        keep = targets[pos] == chunk
+        found.append(hit[keep] + start)
+        which.append(pos[keep])
     return np.concatenate(found), np.concatenate(which)
 
 

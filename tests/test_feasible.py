@@ -21,7 +21,13 @@ from distshift import (
     sample_uniform,
 )
 from distshift import feasible
-from distshift.feasible import _forms_at, _grow_sums, _root_decompositions, _unrank_steps
+from distshift.feasible import (
+    _forms_at,
+    _grow_sums,
+    _members,
+    _root_decompositions,
+    _unrank_steps,
+)
 
 from oracles import exact_sum_classes, floyd_uniform_members
 from test_shift import A33_CUMULATIVE
@@ -236,6 +242,7 @@ def test_audit_unit_fraction_exponents_at_60_5(z, unique, collisions):
     [
         pytest.param(lambda: audit_uniqueness_default(60, 6), True, id="default-60-6"),
         pytest.param(lambda: audit_uniqueness(80, 5, 2), False, id="regrow-80-5-z2"),
+        pytest.param(lambda: audit_uniqueness(80, 5, Fraction(3, 2)), False, id="regroup-80-5-z3_2"),
     ],
 )
 def test_audit_memory_per_member(audit, fully_unique):
@@ -386,6 +393,67 @@ def test_exact_confirmation_splits_false_hash_merges(monkeypatch):
     assert (bare.unique_values, bare.collision_count, bare.collisions) == (77, 7, ())
 
 
+def test_screen_passing_every_member_keeps_the_audit_exact(monkeypatch):
+    # hash entries that are multiples of 2**16 give every member the low
+    # bits 0 of every target, so the screen in _members passes them all
+    # and only the exact lookup decides
+    hash_table = feasible._hash_table
+    monkeypatch.setattr(
+        feasible, "_hash_table", lambda decomp, n, z: hash_table(decomp, n, z) << np.uint64(16)
+    )
+    for n, k, z in [(6, 4, Fraction(1, 2)), (9, 5, 2)]:
+        table, _ = _audit_hashes(n, k, z)
+        assert not np.any(table & np.uint64(0xFFFF))
+        _assert_matches_oracle(audit_uniqueness(n, k, z), n, k, z)
+
+
+def _audit_hashes(n: int, k: int, z, shift: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The audit's hash table at (n, z), shifted left by ``shift`` bits,
+    and the hashes of A(n, k) in the _grow_sums order."""
+    z = Fraction(z)
+    decomp = _root_decompositions(n, z.numerator, z.denominator)
+    table = feasible._hash_table(decomp, n, z) << np.uint64(shift)
+    return table, _grow_sums(n, k, table) + table[n]
+
+
+def _check_members(n, k, table, sums, targets) -> np.ndarray:
+    """_members against a scan of every hash through a dict; returns the
+    positions found."""
+    positions, which = _members(n, k, table, targets)
+    index = {h: i for i, h in enumerate(targets.tolist())}
+    hits = [(p, index[h]) for p, h in enumerate(sums.tolist()) if h in index]
+    assert positions.tolist() == [p for p, _ in hits]
+    assert which.tolist() == [i for _, i in hits]
+    return positions
+
+
+def test_members_match_a_brute_force_scan():
+    n, k = 40, 4  # 12,341 members
+    table, sums = _audit_hashes(n, k, Fraction(3, 2))
+    distinct = np.unique(sums)
+    low = distinct & np.uint64(0xFFFF)
+    present = set(sums.tolist())
+    absent = next(h for h in range(1, 2**16) if h not in present)
+    # two hashes that members have, with equal low 16 bits
+    order = np.argsort(low, kind="stable")
+    first = np.flatnonzero(low[order][1:] == low[order][:-1])[0]
+    pair = np.sort(distinct[order[first : first + 2]])
+    # every other distinct hash: hundreds of the rest share low bits with
+    # one of them, so the screen lets them through to the exact check
+    spread = distinct[::2]
+    assert np.count_nonzero(np.isin(low[1::2], spread & np.uint64(0xFFFF))) > 300
+    assert len(_check_members(n, k, table, sums, np.empty(0, dtype=np.uint64))) == 0
+    assert len(_check_members(n, k, table, sums, np.array([absent], dtype=np.uint64))) == 0
+    assert len(_check_members(n, k, table, sums, pair)) >= 2
+    assert len(_check_members(n, k, table, sums, spread)) >= len(spread)
+    # every hash shifted by 16 bits has low bits 0: all members pass the
+    # screen, and the exact lookup alone decides
+    table, sums = _audit_hashes(n, k, Fraction(3, 2), shift=16)
+    for targets in [np.array([1 << 16], dtype=np.uint64), np.unique(sums)[5:400:7]]:
+        assert not np.any(targets & np.uint64(0xFFFF))
+        _check_members(n, k, table, sums, targets)
+
+
 def test_hash_table_has_no_zero_term():
     # the coefficient is reduced modulo a prime before it is multiplied,
     # so a multiple of 2**64 no longer hashes to 0
@@ -434,9 +502,12 @@ EXPONENTS = st.one_of(
 @example(n=9, k=5, z=Fraction(1, 2))
 @example(n=8, k=5, z=Fraction(1, 3))
 def test_audit_matches_exact_oracle(n, k, z):
+    _assert_matches_oracle(audit_uniqueness(n, k, z), n, k, z)
+
+
+def _assert_matches_oracle(report, n, k, z):
     classes = exact_sum_classes(n, k, z)
     shared = {forms[0]: forms for forms in classes if len(forms) >= 2}
-    report = audit_uniqueness(n, k, z)
     assert report.unique_values == len(classes)
     assert report.collision_count == len(shared)
     assert len(report.collisions) == min(len(shared), 20)
@@ -444,3 +515,22 @@ def test_audit_matches_exact_oracle(n, k, z):
         forms = shared[rec.members[0]]
         assert rec.count == len(forms)
         assert list(rec.members) == forms[:4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(2, 5),
+    z=EXPONENTS,
+    shift=st.sampled_from([0, 16]),
+    data=st.data(),
+)
+def test_members_match_scan_on_random_targets(n, k, z, shift, data):
+    # random subsets of the hashes, plus random values no member need
+    # have; with shift = 16 every member passes the screen
+    table, sums = _audit_hashes(n, k, z, shift)
+    distinct = np.unique(sums)
+    chosen = data.draw(st.sets(st.integers(0, len(distinct) - 1)))
+    extra = data.draw(st.sets(st.integers(0, 2**64 - 1), max_size=3))
+    targets = np.union1d(distinct[sorted(chosen)], np.array(sorted(extra), dtype=np.uint64))
+    _check_members(n, k, table, sums, targets)
