@@ -58,9 +58,9 @@ class FrequencyDistribution:
         object.__setattr__(self, "counts", counts)
         if len(counts) < 2:
             raise ValidationError(f"need at least 2 bins, got {len(counts)}")
-        for i, c in enumerate(counts):
-            if c < 0:
-                raise ValidationError(f"negative count {c} at bin {i}")
+        if min(counts) < 0:
+            i = next(i for i, c in enumerate(counts) if c < 0)
+            raise ValidationError(f"negative count {counts[i]} at bin {i}")
         object.__setattr__(self, "totals", tuple(accumulate(counts)))
         if self.n < 1:
             raise ValidationError("total observations must be at least 1")
@@ -110,12 +110,19 @@ def parse_distributions(text: str, format: str = "csv") -> list[FrequencyDistrib
 
 
 def _parse_csv_line(line: str) -> FrequencyDistribution:
+    # int() also takes underscores and any Unicode digit; JSON takes neither
+    if line.isascii() and "_" not in line:
+        try:
+            counts = tuple(map(int, line.split(",")))
+        except ValueError:  # the loop below names the field at fault
+            pass
+        else:
+            return FrequencyDistribution(counts)
     counts = []
     for pos, token in enumerate(line.split(","), start=1):
         tok = token.strip()
         if not tok:
             raise ParseError(f"empty field at position {pos}", pos)
-        # int() also takes underscores and any Unicode digit; JSON takes neither
         if not tok.isascii() or "_" in tok:
             raise ParseError(f"invalid integer {tok!r} at position {pos}", pos)
         try:

@@ -14,7 +14,7 @@ over the rationals, so two sums are equal exactly when their integer
 coefficients agree radical by radical. One uint64 hash of those
 coefficients, each reduced modulo a prime above every n so that no term
 hashes to 0, finds the candidate collisions: the hashes, sorted in
-place, count the distinct ones and list those that repeat, about 10 B
+place, count the distinct ones and list those that repeat, about 9 B
 per member. Only when a hash repeats are the hashes grown again, in
 colex order, to find its members: a 2**16-entry table of the repeated
 hashes' low bits screens each member, and only the members it passes
@@ -217,7 +217,9 @@ def audit_uniqueness(
     sums.sort()
     repeat = sums[1:] == sums[:-1]
     unique_values = size - int(np.count_nonzero(repeat))
-    repeat[1:] &= ~repeat[:-1]
+    for stop in range(len(repeat), 0, -_LOOKUP_CHUNK):  # keep run starts, in place from the end
+        start = max(stop - _LOOKUP_CHUNK, 1)
+        repeat[start:stop] &= ~repeat[start - 1 : stop - 1]
     shared = sums[1:][repeat]
     del sums, repeat
     # members sharing a hash are candidates; they collide only when their

@@ -3,39 +3,56 @@
 All measures operate on relative frequencies p_i = f_i/n and cumulative
 probabilities P_i = F_i/n over a shared set of k bins, so distributions
 with different n can be compared; the running totals F_i are read from
-``FrequencyDistribution.totals``. Chi-square distance and KL divergence
-are undefined (returned as None) when any pair of corresponding bins is
-zero-valued; KL is also undefined when its second argument has a zero
-bin where the first does not.
+``FrequencyDistribution.totals``. ``compare_all`` checks k and computes
+one pair's p and P once, then derives RDS and every measure from them
+through the same private function each public measure uses. Chi-square
+distance and KL divergence are undefined (returned as None) when any
+pair of corresponding bins is zero-valued; KL is also undefined when its
+second argument has a zero bin where the first does not.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .distributions import FrequencyDistribution
-from .shift import _require_equal_k, rds as _rds
+from .shift import _frequencies, _rds_of
+
+
+def _chi_square(p: list[float], q: list[float]) -> float | None:
+    if 0.0 in map(operator.add, p, q):  # a bin empty on both sides
+        return None
+    return 0.5 * math.fsum([(x - y) ** 2 / (x + y) for x, y in zip(p, q)])
+
+
+def _kl(p: list[float], q: list[float]) -> float | None:
+    if 0.0 in q:  # a shared empty bin, or f1 outside f2's support
+        return None
+    return math.fsum([x * math.log(x / y) for x, y in zip(p, q) if x])
+
+
+def _abs_diffs(p: list[float], q: list[float]) -> list[float]:
+    return [abs(x - y) for x, y in zip(p, q)]
+
+
+def _non_intersection(p: list[float], q: list[float]) -> float:
+    return 0.5 * math.fsum(_abs_diffs(p, q))
+
+
+def _rps(cum_diffs: list[float]) -> float:
+    return math.fsum([d**2 for d in cum_diffs])
 
 
 def chi_square_distance(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float | None:
     """One half the sum of (p1-p2)^2/(p1+p2) over bins; None when any bin
     has f1_i = f2_i = 0."""
-    _require_equal_k(f1, f2)
-    n1, n2 = f1.n, f2.n
-    terms = []
-    for a, b in zip(f1.counts, f2.counts):
-        if a == 0 and b == 0:
-            return None
-        p, q = a / n1, b / n2
-        terms.append((p - q) ** 2 / (p + q))
-    return 0.5 * math.fsum(terms)
+    return _chi_square(*_frequencies(f1, f2, False))
 
 
 def ks_distance(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float:
     """Maximum absolute difference between the cumulative probabilities."""
-    _require_equal_k(f1, f2)
-    n1, n2 = f1.n, f2.n
-    return max(abs(a / n1 - b / n2) for a, b in zip(f1.totals, f2.totals))
+    return max(_abs_diffs(*_frequencies(f1, f2, True)))
 
 
 def kl_divergence(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float | None:
@@ -45,19 +62,7 @@ def kl_divergence(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float
     f1 is not contained in that of f2, or when any pair of corresponding
     bins is zero-valued.
     """
-    _require_equal_k(f1, f2)
-    n1, n2 = f1.n, f2.n
-    terms = []
-    for a, b in zip(f1.counts, f2.counts):
-        if a == 0 and b == 0:
-            return None
-        if a == 0:
-            continue
-        if b == 0:
-            return None
-        p, q = a / n1, b / n2
-        terms.append(p * math.log(p / q))
-    return math.fsum(terms)
+    return _kl(*_frequencies(f1, f2, False))
 
 
 def histogram_non_intersection(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float:
@@ -66,9 +71,7 @@ def histogram_non_intersection(f1: FrequencyDistribution, f2: FrequencyDistribut
     Computed as the same quantity 0.5 * sum(|p1 - p2|), which is exactly 0
     for identical inputs and exactly symmetric; 1 - sum(min) is not.
     """
-    _require_equal_k(f1, f2)
-    n1, n2 = f1.n, f2.n
-    return 0.5 * math.fsum(abs(a / n1 - b / n2) for a, b in zip(f1.counts, f2.counts))
+    return _non_intersection(*_frequencies(f1, f2, False))
 
 
 def emd(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float:
@@ -78,16 +81,12 @@ def emd(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float:
     minimum-cost transport between the normalized histograms under the
     ground distance d(i, j) = |i - j|.
     """
-    _require_equal_k(f1, f2)
-    n1, n2 = f1.n, f2.n
-    return math.fsum(abs(a / n1 - b / n2) for a, b in zip(f1.totals, f2.totals))
+    return math.fsum(_abs_diffs(*_frequencies(f1, f2, True)))
 
 
 def rps(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float:
     """Ranked Probability Score: sum of squared cumulative differences."""
-    _require_equal_k(f1, f2)
-    n1, n2 = f1.n, f2.n
-    return math.fsum((a / n1 - b / n2) ** 2 for a, b in zip(f1.totals, f2.totals))
+    return _rps(_abs_diffs(*_frequencies(f1, f2, True)))
 
 
 #: Names of the seven series a report carries, in presentation order.
@@ -176,15 +175,18 @@ def _measure_columns(a, b):
 
 def compare_all(f1: FrequencyDistribution, f2: FrequencyDistribution) -> MeasureReport:
     """Compute RDS and all six comparison measures for one pair."""
-    rds_value = _rds(f1, f2)  # refuses unequal k before any measure runs
-    kl = kl_divergence(f1, f2)
+    cum1, cum2 = _frequencies(f1, f2, True)  # refuses unequal k before any measure runs
+    p, q = _frequencies(f1, f2, False)
+    rds_value = _rds_of(cum1, cum2)
+    cum_diffs = _abs_diffs(cum1, cum2)
+    kl = _kl(p, q)
     return MeasureReport(
         rds=rds_value,
         abs_rds=abs(rds_value),
-        chi_square=chi_square_distance(f1, f2),
-        ks=ks_distance(f1, f2),
+        chi_square=_chi_square(p, q),
+        ks=max(cum_diffs),
         kl_sqrt=None if kl is None else math.sqrt(max(kl, 0.0)),
-        non_intersection=histogram_non_intersection(f1, f2),
-        emd=emd(f1, f2),
-        rps_sqrt=math.sqrt(rps(f1, f2)),
+        non_intersection=_non_intersection(p, q),
+        emd=math.fsum(cum_diffs),
+        rps_sqrt=math.sqrt(_rps(cum_diffs)),
     )

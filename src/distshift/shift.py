@@ -30,9 +30,24 @@ class ShiftValue:
     k: int
 
 
-def _require_equal_k(f1: FrequencyDistribution, f2: FrequencyDistribution) -> None:
+def _frequencies(f1: FrequencyDistribution, f2: FrequencyDistribution, cumulative: bool):
+    """Both sides' lists f_i/n, or F_i/n when ``cumulative``, once k is checked
+    equal. Totals stay below 2**1023, so only an empty bin has frequency 0.0."""
     if f1.k != f2.k:
         raise ValidationError(f"bin counts differ (k={f1.k} vs k={f2.k})")
+    n1, n2 = f1.n, f2.n
+    a, b = (f1.totals, f2.totals) if cumulative else (f1.counts, f2.counts)
+    return [x / n1 for x in a], [y / n2 for y in b]
+
+
+def _ds_of(cum: list[float], z: float) -> float:
+    """DS at a float exponent z != 1 from the cumulative frequencies F_i/n."""
+    return (math.fsum([x**z for x in cum]) - 1.0) / (len(cum) - 1)
+
+
+def _rds_of(cum1: list[float], cum2: list[float]) -> float:
+    z = (len(cum1) + 1) / len(cum1)  # the default exponent, valid by construction
+    return _ds_of(cum2, z) - _ds_of(cum1, z)
 
 
 def ds_linear(f: FrequencyDistribution) -> ShiftValue:
@@ -59,13 +74,14 @@ def ds_with_exponent(f: FrequencyDistribution, z) -> ShiftValue:
     n, k = f.n, f.k
     if z == 1:
         return ShiftValue(ds=(sum(f.totals) - n) / (n * (k - 1)), z_used=z, n=n, k=k)
-    total = math.fsum((t / n) ** z for t in f.totals)
-    return ShiftValue(ds=(total - 1.0) / (k - 1), z_used=z, n=n, k=k)
+    return ShiftValue(ds=_ds_of([t / n for t in f.totals], z), z_used=z, n=n, k=k)
 
 
 def ds(f: FrequencyDistribution) -> ShiftValue:
     """Shift with the bin-dependent default exponent z = (k + 1) / k."""
-    return ds_with_exponent(f, (f.k + 1) / f.k)
+    n, k = f.n, f.k
+    z = (k + 1) / k
+    return ShiftValue(ds=_ds_of([t / n for t in f.totals], z), z_used=z, n=n, k=k)
 
 
 def rds(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float:
@@ -74,5 +90,4 @@ def rds(f1: FrequencyDistribution, f2: FrequencyDistribution) -> float:
     Positive values mean the first distribution is shifted right of the
     second. The two distributions may have different n but must share k.
     """
-    _require_equal_k(f1, f2)
-    return ds(f2).ds - ds(f1).ds
+    return _rds_of(*_frequencies(f1, f2, True))

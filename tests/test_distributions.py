@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from distshift import (
+    DistributionError,
     FrequencyDistribution,
     ParseError,
     ValidationError,
     kl_divergence,
     parse_distributions,
 )
+from distshift.distributions import _parse_csv_line
 
 from oracles import compositions
 
@@ -179,3 +181,37 @@ def test_parse_distributions_rejects_malformed_json():
         parse_distributions('"text"', "json")
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_distributions("[" * 100_000 + "]" * 100_000, "json")
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        (" 1 , 2 ", (1, 2)),
+        ("+3,1", (3, 1)),
+        ("0,7,0", (0, 7, 0)),
+        ("1,,2", (ParseError, "empty field at position 2", 2)),
+        ("1,2,", (ParseError, "empty field at position 3", 3)),
+        ("1.5,2", (ValidationError, "non-integer count '1.5' at position 1", None)),
+        ("1,x", (ParseError, "invalid integer 'x' at position 2", 2)),
+        ("1_0,2", (ParseError, "invalid integer '1_0' at position 1", 1)),
+        ("1,\u0662", (ParseError, "invalid integer '\u0662' at position 2", 2)),
+        ("\u00a01,2", (1, 2)),
+        ("1," + "9" * 5000,
+         (ValidationError, "count too long at position 2: total observations must be below 2**1023",
+          None)),
+        ("-1,2", (ValidationError, "negative count -1 at bin 0", None)),
+        ("2,0,-3,-1", (ValidationError, "negative count -3 at bin 2", None)),
+        ("5", (ValidationError, "need at least 2 bins, got 1", None)),
+    ],
+)
+def test_parse_csv_line_outcomes(line, expected):
+    # the whole-line int() fast path and the per-field loop it falls back
+    # to give the same counts, or the same exception, message and position
+    if not isinstance(expected[0], type):
+        assert _parse_csv_line(line).counts == expected
+        return
+    cls, message, position = expected
+    with pytest.raises(DistributionError) as info:
+        _parse_csv_line(line)
+    assert type(info.value) is cls and str(info.value) == message
+    assert getattr(info.value, "position", None) == position

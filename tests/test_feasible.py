@@ -238,18 +238,20 @@ def test_audit_unit_fraction_exponents_at_60_5(z, unique, collisions):
 
 
 @pytest.mark.parametrize(
-    "audit, fully_unique",
+    "audit, fully_unique, bound",
     [
-        pytest.param(lambda: audit_uniqueness_default(60, 6), True, id="default-60-6"),
-        pytest.param(lambda: audit_uniqueness(80, 5, 2), False, id="regrow-80-5-z2"),
-        pytest.param(lambda: audit_uniqueness(80, 5, Fraction(3, 2)), False, id="regroup-80-5-z3_2"),
+        pytest.param(lambda: audit_uniqueness_default(60, 6), True, 9.5, id="default-60-6"),
+        pytest.param(lambda: audit_uniqueness(80, 5, 2), False, 12, id="regrow-80-5-z2"),
+        pytest.param(lambda: audit_uniqueness(80, 5, Fraction(3, 2)), False, 12,
+                     id="regroup-80-5-z3_2"),
     ],
 )
-def test_audit_memory_per_member(audit, fully_unique):
+def test_audit_memory_per_member(audit, fully_unique, bound):
     # tracemalloc sees numpy buffers too: the uint64 sums, sorted in place,
-    # and their repeat mask come to about 10 B per member, and so do the
-    # sums regrown when a hash repeats. Fixed overheads add over 1 B per
-    # member to the 0.6M of A(60, 5), so the audits measured are larger
+    # and their repeat mask, whose run starts are marked in place, come to
+    # about 9 B per member, and so do the sums regrown when a hash repeats.
+    # Fixed overheads add over 1 B per member to the 0.6M of A(60, 5), so
+    # the audits measured are larger
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -258,7 +260,7 @@ def test_audit_memory_per_member(audit, fully_unique):
     finally:
         tracemalloc.stop()
     assert report.fully_unique == fully_unique
-    assert peak <= 12 * report.total
+    assert peak <= bound * report.total
 
 
 @pytest.mark.parametrize(
@@ -278,6 +280,16 @@ def test_audit_regrows_only_when_a_hash_repeats(monkeypatch, audit, calls):
     report = audit()
     assert len(grown) == calls
     assert report.fully_unique == (calls == 1)
+
+
+@pytest.mark.parametrize("n, k, z", [(9, 5, Fraction(1, 2)), (10, 5, 2), (12, 4, Fraction(3, 2))])
+def test_audit_does_not_depend_on_the_chunk(monkeypatch, n, k, z):
+    # run starts are marked, and members looked up, chunk by chunk; chunks
+    # of 1, 2 and 3 members cut every run of a repeated hash
+    whole = audit_uniqueness(n, k, z)
+    for chunk in (1, 2, 3):
+        monkeypatch.setattr(feasible, "_LOOKUP_CHUNK", chunk)
+        assert audit_uniqueness(n, k, z) == whole
 
 
 @pytest.mark.parametrize("n, k, z, collisions", [(9, 5, Fraction(1, 2), 139), (10, 5, 2, 240)])

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,14 +14,17 @@ from distshift import (
     chi_square_distance,
     compare_all,
     ds,
+    ds_with_exponent,
     emd,
     histogram_non_intersection,
     kl_divergence,
     ks_distance,
+    rds,
     rps,
     sample_uniform,
 )
-from distshift.measures import _measure_columns
+from distshift import measures, shift
+from distshift.measures import MeasureReport, _measure_columns
 
 from oracles import assignment_emd, compositions, transport_emd
 
@@ -275,3 +280,94 @@ def test_measure_kernel_matches_compare_all(batch):
         if f1 == f2:
             assert signed[i] == 0.0
             assert all(column[i] == 0.0 for column in columns.values() if not math.isnan(column[i]))
+
+
+def _scalar_pairs():
+    """2,000 seeded pairs: k from 2 to 12, unequal n, bins empty on one side
+    or on both, some identical pairs, and totals next to 2**1023."""
+    rng = random.Random(2019)
+    pairs = []
+    for _ in range(1990):
+        k = rng.randint(2, 12)
+        both = {i for i in range(k) if rng.random() < 0.1}
+        sides = []
+        for _ in range(2):
+            counts = [0 if i in both or rng.random() < 0.15 else rng.randint(1, 300)
+                      for i in range(k)]
+            counts[rng.choice([i for i in range(k) if i not in both] or [0])] += 1
+            sides.append(fd(*counts))
+        pairs.append((sides[0], sides[0]) if rng.random() < 0.05 else tuple(sides))
+    big = 2**1023
+    for a, b in [((1, big - 2), (big - 2, 1)), ((1, big - 2), (1, 1)),
+                 ((0, big - 1), (1, 0)), ((big - 3, 0, 2), (0, 1, big - 2)),
+                 ((1, 0, 0, big - 2), (0, 0, 1, 3)), ((big // 2, 0, big // 2 - 1), (1, 0, 1)),
+                 ((7, big - 8), (7, big - 8)), ((big - 2, 1), (2, 3)),
+                 ((1, 1, big - 3, 0), (0, 1, 1, 1)), ((0, 0, big - 1), (big - 1, 0, 0))]:
+        pairs.append((fd(*a), fd(*b)))
+    return pairs
+
+
+def test_scalar_outputs_are_byte_identical():
+    """sha256 over the reprs of every scalar entry point on each pair:
+    compare_all, ds, rds, DS at z = 1 and 2.5, and the six measures."""
+    digest = hashlib.sha256()
+    for f1, f2 in _scalar_pairs():
+        values = [compare_all(f1, f2), rds(f1, f2)]
+        for f in (f1, f2):
+            values += [ds(f), ds_with_exponent(f, 1), ds_with_exponent(f, 2.5)]
+        values += [measure(f1, f2) for measure in (chi_square_distance, ks_distance, kl_divergence,
+                                                   histogram_non_intersection, emd, rps)]
+        digest.update(repr(values).encode())
+    assert digest.hexdigest() == "8890f325e10da555ff092f1ed3775cfb5d90c4d6da4dc5da23d88d280f2e9838"
+
+
+@st.composite
+def _scalar_pair(draw):
+    """Two distributions sharing k in 2..12, each of its own n, some near
+    2**1023, with bins empty on one side or on both."""
+    k = draw(st.integers(2, 12))
+    bins = st.sets(st.integers(0, k - 1), max_size=k)
+    both = draw(bins)
+    sides = []
+    for _ in range(2):
+        n = draw(st.one_of(st.integers(1, 300), st.integers(2**1022, 2**1023 - 1)))
+        sides.append(fd(*draw(_member(n, k, both | draw(bins)))))
+    return sides
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_scalar_pair())
+def test_compare_all_fields_are_the_public_functions(pair):
+    # bit for bit: repr tells 0.0 from -0.0 and shows every digit
+    f1, f2 = pair
+    kl, value = kl_divergence(f1, f2), rds(f1, f2)
+    expected = MeasureReport(
+        rds=value,
+        abs_rds=abs(value),
+        chi_square=chi_square_distance(f1, f2),
+        ks=ks_distance(f1, f2),
+        kl_sqrt=None if kl is None else math.sqrt(max(kl, 0.0)),
+        non_intersection=histogram_non_intersection(f1, f2),
+        emd=emd(f1, f2),
+        rps_sqrt=math.sqrt(rps(f1, f2)),
+    )
+    assert repr(compare_all(f1, f2)) == repr(expected)
+    for f in pair:
+        assert repr(ds(f)) == repr(ds_with_exponent(f, (f.k + 1) / f.k))
+
+
+@pytest.mark.parametrize(
+    "function",
+    [compare_all, rds, chi_square_distance, ks_distance, kl_divergence,
+     histogram_non_intersection, emd, rps],
+)
+def test_unequal_k_is_refused_before_any_measure(monkeypatch, function):
+    def measured(*args):
+        raise AssertionError("a measure ran")
+
+    for name in ("_chi_square", "_kl", "_non_intersection", "_abs_diffs", "_rps", "_rds_of"):
+        monkeypatch.setattr(measures, name, measured)
+    monkeypatch.setattr(shift, "_rds_of", measured)
+    with pytest.raises(ValidationError) as info:
+        function(fd(1, 0, 2), fd(3, 4))
+    assert str(info.value) == "bin counts differ (k=3 vs k=2)"
