@@ -19,9 +19,9 @@ per member. Only when a hash repeats are the hashes grown again, in
 colex order, to find its members: a 2**16-entry table of the repeated
 hashes' low bits screens each member, and only the members it passes
 are searched for exactly. One regroup decides them: the
-candidates are unranked in one batch, sorted by (hash, form), and
-each hash's forms are split by their exact coefficients, so a
-collision is reported only when two members agree radical by radical.
+candidates are unranked in one batch, sorted by form, and split by
+their exact coefficients alone, so a collision is reported only when
+two members agree radical by radical.
 For integer z with k * n**z < 2**64 the hash is the exact sum, so only
 the reported hashes need regrouping.
 """
@@ -32,8 +32,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby
-from operator import itemgetter
+from itertools import chain, combinations_with_replacement
 from typing import Iterator
 
 import numpy as np
@@ -211,7 +210,6 @@ def audit_uniqueness(
     decomp = _root_decompositions(n, z.numerator, z.denominator)
     table = _hash_table(decomp, n, z)
     sums = _grow_sums(n, k, table)
-    sums += table[n]
     # count distinct hashes, and list the repeated ones ascending, from the
     # sums sorted in place; _members regrows them in colex order if need be
     sums.sort()
@@ -228,16 +226,15 @@ def audit_uniqueness(
     # one collision and only the reported ones are regrouped
     injective = z.denominator == 1 and k * decomp[n][0] < 2**64
     targets = shared[:max_collisions] if injective else shared
-    positions, which = _members(n, k, table, targets)
-    forms = _forms_at(positions, n, _unrank_steps(n, k))
-    order = np.lexsort((*forms.T[::-1], which))
-    groups = []
-    for _, rows in groupby(zip(which[order].tolist(), forms[order].tolist()), key=itemgetter(0)):
-        classes: dict[frozenset, list[list[int]]] = {}
-        for _, form in rows:
-            classes.setdefault(_exact_key(form, decomp), []).append(form)
-        unique_values += len(classes) - 1
-        groups += [members for members in classes.values() if len(members) >= 2]
+    forms = _forms_at(_members(n, k, table, targets), n, k)
+    # split the candidates, in lexicographic order, by exact value alone:
+    # only equal members merge, and when every coefficient is below the
+    # prime equal members share a hash, so the classes replace the targets
+    classes: dict[tuple, list[list[int]]] = {}
+    for form in forms[np.lexsort(forms.T[::-1])].tolist():
+        classes.setdefault(_exact_key(form, decomp), []).append(form)
+    unique_values += len(classes) - len(targets)
+    groups = [members for members in classes.values() if len(members) >= 2]
 
     if z.denominator == 1:
         def value_of(form):  # correctly rounded sum(t**z) / n**z
@@ -334,23 +331,24 @@ def _hash_table(decomp: list[tuple[int, tuple]], n: int, z: Fraction) -> np.ndar
     return table
 
 
-def _exact_key(form: list[int], decomp: list[tuple[int, tuple]]) -> frozenset:
-    """The exact value of sum(t**z) over ``form``: its nonzero integer
-    coefficient on each radical."""
+def _exact_key(form: list[int], decomp: list[tuple[int, tuple]]) -> tuple:
+    """The exact value of sum(t**z) over ``form``: each radical of a nonzero
+    term, then its positive coefficient, in radical order. One flat tuple
+    per class takes about a quarter of the memory of a frozenset of pairs."""
     coeffs: dict[tuple, int] = {}
     for t in form:
-        u, radical = decomp[t]
-        coeffs[radical] = coeffs.get(radical, 0) + u
-    return frozenset((radical, c) for radical, c in coeffs.items() if c)
+        if t:
+            u, radical = decomp[t]
+            coeffs[radical] = coeffs.get(radical, 0) + u
+    return tuple(chain.from_iterable(sorted(coeffs.items())))
 
 
 def _grow_sums(n: int, k: int, table: np.ndarray) -> np.ndarray:
-    """Partial sums over all nondecreasing (k-1)-prefixes with values in 0..n.
-
-    Prefixes come out in colex order: (a_1, ..., a_{k-1}) sits at
-    position sum_i C(a_i + i - 1, i), which _forms_at inverts.
+    """Hashes of every member of A(n, k): sums of ``table`` over each
+    cumulative form (a_1, ..., a_{k-1}, n), each at the colex rank
+    sum_i C(a_i + i - 1, i) of its free prefix, which _forms_at inverts.
     """
-    cur = table.copy()
+    cur = table + table[n]
     counts = np.ones(n + 1, dtype=np.int64)  # prefixes ending at each value
     for _ in range(k - 2):
         offsets = np.cumsum(counts)  # prefixes with last value <= w
@@ -365,12 +363,9 @@ def _grow_sums(n: int, k: int, table: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _members(
-    n: int, k: int, table: np.ndarray, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Colex positions of the members of A(n, k) whose hash is in the
-    sorted ``targets``, and the index in ``targets`` of each one's hash,
-    as two flat arrays with the positions ascending.
+def _members(n: int, k: int, table: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Colex positions, ascending, of the members of A(n, k) whose hash
+    is in the sorted ``targets``.
 
     The hashes are grown again, only when there is a target: growth is
     deterministic, so they match the ones the audit sorted. They are
@@ -381,47 +376,35 @@ def _members(
     exact equality, so the screen drops no member of a target.
     """
     if not len(targets):
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64)
     sums = _grow_sums(n, k, table)
-    sums += table[n]
     low = np.uint64(_SCREEN_SIZE - 1)
     seen = np.zeros(_SCREEN_SIZE, dtype=bool)
     seen[targets & low] = True
-    found, which = [], []
+    found = []
     for start in range(0, len(sums), _LOOKUP_CHUNK):
         chunk = sums[start : start + _LOOKUP_CHUNK]
         hit = np.flatnonzero(seen[chunk & low])
         chunk = chunk[hit]
         pos = np.searchsorted(targets, chunk)
         np.minimum(pos, len(targets) - 1, out=pos)
-        keep = targets[pos] == chunk
-        found.append(hit[keep] + start)
-        which.append(pos[keep])
-    return np.concatenate(found), np.concatenate(which)
+        found.append(hit[targets[pos] == chunk] + start)
+    return np.concatenate(found)
 
 
-def _unrank_steps(n: int, k: int) -> np.ndarray:
-    """steps[i - 1, a] = C(a + i - 1, i), the rank that a_i = a adds in
-    the _grow_sums order, for i in 1..k-1 and a in 0..n."""
-    return np.array(
-        [[math.comb(a + i - 1, i) for a in range(n + 1)] for i in range(1, k)], dtype=np.int64
-    )
-
-
-def _forms_at(indices: np.ndarray, n: int, steps: np.ndarray) -> np.ndarray:
-    """Cumulative forms of the members at ``indices`` of the _grow_sums
-    order, one row each, in the order of ``indices``.
+def _forms_at(positions: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Cumulative forms of the members of A(n, k) at ``positions`` of the
+    _grow_sums order, one row each, in the order of ``positions``.
 
     Unranks in the combinatorial number system: from the last free
-    position down, a_i is the largest a with C(a + i - 1, i) <= rank,
-    read from ``steps`` (see _unrank_steps).
+    position down, a_i is the largest a with C(a + i - 1, i) <= rank.
     """
-    k = len(steps) + 1
-    rank = np.array(indices, dtype=np.int64)
+    rank = np.array(positions, dtype=np.int64)
     forms = np.empty((len(rank), k), dtype=np.int64)
     forms[:, -1] = n
     for i in range(k - 1, 0, -1):
-        col = np.searchsorted(steps[i - 1], rank, side="right") - 1
+        steps = np.array([math.comb(a + i - 1, i) for a in range(n + 1)], dtype=np.int64)
+        col = np.searchsorted(steps, rank, side="right") - 1
         forms[:, i - 1] = col
-        rank -= steps[i - 1, col]
+        rank -= steps[col]
     return forms

@@ -16,6 +16,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import FrequencyDistribution
 from .shift import _frequencies, _rds_of
 
@@ -137,8 +139,6 @@ def _measure_columns(a, b):
     k = 8 numpy sums a row pairwise, so values may differ from the
     row-major form in the last bits.
     """
-    import numpy as np  # only this batch path needs numpy
-
     k = a.shape[1]
     a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     # exact integer running totals F_i, one row add per bin

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 import tracemalloc
@@ -21,13 +22,7 @@ from distshift import (
     sample_uniform,
 )
 from distshift import feasible
-from distshift.feasible import (
-    _forms_at,
-    _grow_sums,
-    _members,
-    _root_decompositions,
-    _unrank_steps,
-)
+from distshift.feasible import _forms_at, _grow_sums, _members, _root_decompositions
 
 from oracles import exact_sum_classes, floyd_uniform_members
 from test_shift import A33_CUMULATIVE
@@ -307,6 +302,18 @@ def test_audit_records_are_a_prefix(n, k, z, collisions):
         )
 
 
+def test_audit_reports_are_pinned():
+    # sha256 over the repr of every report on a grid of integer, float,
+    # rational and unit-fraction exponents, with and without records
+    digest = hashlib.sha256()
+    for n, k in [(1, 2), (5, 3), (9, 5), (13, 4), (21, 3)]:
+        for z in (2, 7.0, Fraction(3, 2), Fraction(1, 2), Fraction(1, 3), 1.1):
+            for max_collisions in (0, 20):
+                report = audit_uniqueness(n, k, z, max_collisions=max_collisions)
+                digest.update(repr(report).encode())
+    assert digest.hexdigest() == "563ccec9f69e9cc28e4e4cca22d7eec681c5843c48eb3c49e04393e1fee04c46"
+
+
 def test_audit_rejects_bad_exponents_and_oversize():
     with pytest.raises(ValidationError):
         audit_uniqueness(3, 3, 0)
@@ -403,6 +410,14 @@ def test_exact_confirmation_splits_false_hash_merges(monkeypatch):
     # the counts do not depend on how many records are kept
     bare = audit_uniqueness(6, 4, z, max_collisions=0)
     assert (bare.unique_values, bare.collision_count, bare.collisions) == (77, 7, ())
+    # a hash that counts the 4s in a form puts exactly equal members of
+    # A(8, 4) under different shared hashes; their classes span hashes
+    monkeypatch.setattr(
+        feasible, "_hash_table", lambda decomp, n, z: (np.arange(n + 1) == 4).astype(np.uint64)
+    )
+    report = audit_uniqueness(8, 4, z)
+    assert (report.unique_values, report.collision_count) == (147, 17)
+    _assert_matches_oracle(report, 8, 4, z)
 
 
 def test_screen_passing_every_member_keeps_the_audit_exact(monkeypatch):
@@ -425,17 +440,15 @@ def _audit_hashes(n: int, k: int, z, shift: int = 0) -> tuple[np.ndarray, np.nda
     z = Fraction(z)
     decomp = _root_decompositions(n, z.numerator, z.denominator)
     table = feasible._hash_table(decomp, n, z) << np.uint64(shift)
-    return table, _grow_sums(n, k, table) + table[n]
+    return table, _grow_sums(n, k, table)
 
 
 def _check_members(n, k, table, sums, targets) -> np.ndarray:
-    """_members against a scan of every hash through a dict; returns the
+    """_members against a scan of every hash through a set; returns the
     positions found."""
-    positions, which = _members(n, k, table, targets)
-    index = {h: i for i, h in enumerate(targets.tolist())}
-    hits = [(p, index[h]) for p, h in enumerate(sums.tolist()) if h in index]
-    assert positions.tolist() == [p for p, _ in hits]
-    assert which.tolist() == [i for _, i in hits]
+    positions = _members(n, k, table, targets)
+    wanted = set(targets.tolist())
+    assert positions.tolist() == [p for p, h in enumerate(sums.tolist()) if h in wanted]
     return positions
 
 
@@ -482,15 +495,14 @@ def test_forms_at_inverts_the_grow_order():
         # colex rank of the free prefix: sum over i of C(a_i + i - 1, i)
         ranks = [sum(math.comb(a + i, i + 1) for i, a in enumerate(f[:-1])) for f in forms]
         assert sorted(ranks) == list(range(len(forms)))
-        steps = _unrank_steps(n, k)
         for form, rank in zip(forms, ranks):
-            assert _forms_at([rank], n, steps).tolist() == [list(form)]
-        assert _forms_at(np.array(ranks), n, steps).tolist() == [list(f) for f in forms]
-        # position r of the grown sums holds the prefix of rank r; base
-        # k+1 weights make each sum name its prefix
+            assert _forms_at([rank], n, k).tolist() == [list(form)]
+        assert _forms_at(np.array(ranks), n, k).tolist() == [list(f) for f in forms]
+        # position r of the grown sums holds the member of rank r; base
+        # k+1 weights make each sum name its form
         weights = np.array([(k + 1) ** a for a in range(n + 1)], dtype=np.int64)
         by_rank = dict(zip(ranks, forms))
-        expected = [sum((k + 1) ** a for a in by_rank[r][:-1]) for r in range(len(forms))]
+        expected = [sum((k + 1) ** a for a in by_rank[r]) for r in range(len(forms))]
         assert _grow_sums(n, k, weights).tolist() == expected
 
 
