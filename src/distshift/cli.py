@@ -181,15 +181,11 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_uniq(args) -> int:
+    limits = {"cap": args.cap, "max_collisions": args.max_collisions}
     if args.z is None:
-        report = audit_uniqueness_default(
-            args.n, args.k, cap=args.cap, max_collisions=args.max_collisions
-        )
+        report = audit_uniqueness_default(args.n, args.k, **limits)
     else:
-        z = _parse_exponent(args.z)
-        report = audit_uniqueness(
-            args.n, args.k, z, cap=args.cap, max_collisions=args.max_collisions
-        )
+        report = audit_uniqueness(args.n, args.k, _parse_exponent(args.z), **limits)
     text = [
         f"{report.unique_values} unique / {report.total} "
         f"(n={report.n}, k={report.k}, z={report.z})"

@@ -134,9 +134,11 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
     parts = [_compute_block(config, block) for block in range(-(-config.num_pairs // BLOCK))]
     series = {name: np.concatenate([columns[name] for columns, _ in parts]) for name in MEASURE_NAMES}
     signed = np.concatenate([block_signed for _, block_signed in parts])
-    summaries = {
-        (x, y): fit_through_origin(series[x], series[y]) for x in MEASURE_NAMES for y in MEASURE_NAMES
-    }
+    fits = {}  # each unordered pair once: (x, y) and (y, x) share their sums
+    for i, x in enumerate(MEASURE_NAMES):
+        for y in MEASURE_NAMES[i:]:
+            fits[x, y], fits[y, x] = _fit_both(series[x], series[y])
+    summaries = {(x, y): fits[x, y] for x in MEASURE_NAMES for y in MEASURE_NAMES}
     return CorrelationTable(config=config, summaries=summaries, series=series, signed_rds=signed)
 
 
@@ -169,6 +171,12 @@ def fit_through_origin(xs, ys) -> RegressionSummary:
     yields a degenerate summary. r_squared is formed as two ratios, so
     no product of sums can underflow or overflow on its way.
     """
+    return _fit_both(xs, ys)[0]
+
+
+def _fit_both(xs, ys) -> tuple[RegressionSummary, RegressionSummary]:
+    """``fit_through_origin(xs, ys)`` and ``(ys, xs)`` from one set of sums,
+    bit for bit: the second slope is Σxy/Σy², r_squared the same product."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:
@@ -182,8 +190,8 @@ def fit_through_origin(xs, ys) -> RegressionSummary:
         syy = float(ys @ ys)
         sxy = float(xs @ ys)
     if kept < 2 or not (0.0 < sxx < math.inf and 0.0 < syy < math.inf):
-        return RegressionSummary(0.0, 0.0, kept, dropped, degenerate=True)
-    slope = sxy / sxx
-    r_squared = min(slope * (sxy / syy), 1.0)
-    return RegressionSummary(slope, r_squared, kept, dropped)
+        return (RegressionSummary(0.0, 0.0, kept, dropped, degenerate=True),) * 2
+    slope, mirror = sxy / sxx, sxy / syy
+    r_squared = min(slope * mirror, 1.0)
+    return tuple(RegressionSummary(s, r_squared, kept, dropped) for s in (slope, mirror))
 

@@ -18,12 +18,13 @@ place, count the distinct ones and list those that repeat, about 9 B
 per member. Only when a hash repeats are the hashes grown again, in
 colex order, to find its members: a 2**16-entry table of the repeated
 hashes' low bits screens each member, and only the members it passes
-are searched for exactly. One regroup decides them: the
-candidates are unranked in one batch, sorted by form, and split by
-their exact coefficients alone, so a collision is reported only when
-two members agree radical by radical.
-For integer z with k * n**z < 2**64 the hash is the exact sum, so only
-the reported hashes need regrouping.
+are searched for exactly. One regroup decides them: the candidates are
+unranked in one batch, sorted by form, and split by their exact
+coefficients alone, so a collision is reported only when two members
+agree radical by radical. For integer z with k * n**z < 2**64 the hash
+is the exact sum, so only the reported hashes need regrouping; below an
+eighth of the member count, the sums are counted in a table of at most
+1 B per member instead, and neither sorted nor grown again.
 """
 from __future__ import annotations
 
@@ -210,23 +211,35 @@ def audit_uniqueness(
     decomp = _root_decompositions(n, z.numerator, z.denominator)
     table = _hash_table(decomp, n, z)
     sums = _grow_sums(n, k, table)
-    # count distinct hashes, and list the repeated ones ascending, from the
-    # sums sorted in place; _members regrows them in colex order if need be
-    sums.sort()
-    repeat = sums[1:] == sums[:-1]
-    unique_values = size - int(np.count_nonzero(repeat))
-    for stop in range(len(repeat), 0, -_LOOKUP_CHUNK):  # keep run starts, in place from the end
-        start = max(stop - _LOOKUP_CHUNK, 1)
-        repeat[start:stop] &= ~repeat[start - 1 : stop - 1]
-    shared = sums[1:][repeat]
-    del sums, repeat
     # members sharing a hash are candidates; they collide only when their
     # integer coefficients agree on every radical. The hash is injective
     # for integer z while k * n**z < 2**64, so there every shared hash is
     # one collision and only the reported ones are regrouped
     injective = z.denominator == 1 and k * decomp[n][0] < 2**64
-    targets = shared[:max_collisions] if injective else shared
-    forms = _forms_at(_members(n, k, table, targets), n, k)
+    if injective and k * decomp[n][0] < size // 8:
+        # every sum is below size // 8, so one int64 count per sum takes at most 1 B per member
+        counts = np.bincount(sums.view(np.int64))
+        unique_values = int(np.count_nonzero(counts))
+        want = counts >= 2
+        del counts
+        shared = np.flatnonzero(want)
+        targets = shared[:max_collisions]
+        want[shared[max_collisions:]] = False
+        positions = np.flatnonzero(want[sums.view(np.int64)])
+    else:
+        # count distinct hashes, and list the repeated ones ascending, from
+        # the sums sorted in place; _members regrows them in colex order
+        sums.sort()
+        repeat = sums[1:] == sums[:-1]
+        unique_values = size - int(np.count_nonzero(repeat))
+        for stop in range(len(repeat), 0, -_LOOKUP_CHUNK):  # keep run starts, in place from the end
+            start = max(stop - _LOOKUP_CHUNK, 1)
+            repeat[start:stop] &= ~repeat[start - 1 : stop - 1]
+        shared = sums[1:][repeat]
+        del sums, repeat
+        targets = shared[:max_collisions] if injective else shared
+        positions = _members(n, k, table, targets)
+    forms = _forms_at(positions, n, k)
     # split the candidates, in lexicographic order, by exact value alone:
     # only equal members merge, and when every coefficient is below the
     # prime equal members share a hash, so the classes replace the targets

@@ -236,7 +236,8 @@ def test_audit_unit_fraction_exponents_at_60_5(z, unique, collisions):
     "audit, fully_unique, bound",
     [
         pytest.param(lambda: audit_uniqueness_default(60, 6), True, 9.5, id="default-60-6"),
-        pytest.param(lambda: audit_uniqueness(80, 5, 2), False, 12, id="regrow-80-5-z2"),
+        pytest.param(lambda: audit_uniqueness(80, 5, 2), False, 12, id="table-80-5-z2"),
+        pytest.param(lambda: audit_uniqueness(80, 5, 3), False, 12, id="regrow-80-5-z3"),
         pytest.param(lambda: audit_uniqueness(80, 5, Fraction(3, 2)), False, 12,
                      id="regroup-80-5-z3_2"),
     ],
@@ -245,8 +246,11 @@ def test_audit_memory_per_member(audit, fully_unique, bound):
     # tracemalloc sees numpy buffers too: the uint64 sums, sorted in place,
     # and their repeat mask, whose run starts are marked in place, come to
     # about 9 B per member, and so do the sums regrown when a hash repeats.
-    # Fixed overheads add over 1 B per member to the 0.6M of A(60, 5), so
-    # the audits measured are larger
+    # At z = 2, where 5 * 80**2 is below an eighth of the 1.9M members, the
+    # sums are counted in a table of at most 1 B per member instead, and
+    # flagged in place of the regrowth; at z = 3 they are sorted and
+    # regrown. Fixed overheads add over 1 B per member to the 0.6M of
+    # A(60, 5), so the audits measured are larger
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -259,22 +263,26 @@ def test_audit_memory_per_member(audit, fully_unique, bound):
 
 
 @pytest.mark.parametrize(
-    "audit, calls",
+    "audit, calls, fully_unique",
     [
-        pytest.param(lambda: audit_uniqueness_default(30, 5), 1, id="default-30-5"),
-        pytest.param(lambda: audit_uniqueness(10, 5, 2), 2, id="injective-10-5-z2"),
-        pytest.param(lambda: audit_uniqueness(9, 5, Fraction(1, 2)), 2, id="regrouped-9-5-z1_2"),
+        pytest.param(lambda: audit_uniqueness_default(30, 5), 1, True, id="default-30-5"),
+        pytest.param(lambda: audit_uniqueness(10, 5, 2), 2, False, id="injective-10-5-z2"),
+        pytest.param(lambda: audit_uniqueness(9, 5, Fraction(1, 2)), 2, False,
+                     id="regrouped-9-5-z1_2"),
+        pytest.param(lambda: audit_uniqueness(30, 5, 2), 1, False, id="table-30-5-z2"),
     ],
 )
-def test_audit_regrows_only_when_a_hash_repeats(monkeypatch, audit, calls):
+def test_audit_regrows_only_when_a_hash_repeats(monkeypatch, audit, calls, fully_unique):
     # the hashes are sorted in place; only an audit with a shared hash,
-    # injective (z = 2) or regrouped in full (z = 1/2), grows them again
+    # injective (z = 2) or regrouped in full (z = 1/2), grows them again.
+    # Exact sums below an eighth of the member count are counted in a
+    # table instead, and their members read from the same sums
     grown = []
     grow = feasible._grow_sums
     monkeypatch.setattr(feasible, "_grow_sums", lambda *args: grown.append(args) or grow(*args))
     report = audit()
     assert len(grown) == calls
-    assert report.fully_unique == (calls == 1)
+    assert report.fully_unique == fully_unique
 
 
 @pytest.mark.parametrize("n, k, z", [(9, 5, Fraction(1, 2)), (10, 5, 2), (12, 4, Fraction(3, 2))])
@@ -287,10 +295,13 @@ def test_audit_does_not_depend_on_the_chunk(monkeypatch, n, k, z):
         assert audit_uniqueness(n, k, z) == whole
 
 
-@pytest.mark.parametrize("n, k, z, collisions", [(9, 5, Fraction(1, 2), 139), (10, 5, 2, 240)])
+@pytest.mark.parametrize(
+    "n, k, z, collisions", [(9, 5, Fraction(1, 2), 139), (10, 5, 2, 240), (30, 5, 2, 2711)]
+)
 def test_audit_records_are_a_prefix(n, k, z, collisions):
-    # non-injective (every shared hash regrouped) and injective (only the
-    # reported ones): fewer records are the first of the full list
+    # non-injective (every shared hash regrouped), injective (only the
+    # reported ones) and counted in a table (5 * 30**2 is below an eighth
+    # of the 46,376 members): fewer records are the first of the full list
     full = audit_uniqueness(n, k, z, max_collisions=20)
     assert full.collision_count == collisions and len(full.collisions) == 20
     for m in (0, 1, 3):
@@ -302,16 +313,37 @@ def test_audit_records_are_a_prefix(n, k, z, collisions):
         )
 
 
-def test_audit_reports_are_pinned():
-    # sha256 over the repr of every report on a grid of integer, float,
-    # rational and unit-fraction exponents, with and without records
+@pytest.mark.parametrize(
+    "sizes, exponents, records, expected",
+    [
+        pytest.param(
+            [(1, 2), (5, 3), (9, 5), (13, 4), (21, 3)],
+            (2, 7.0, Fraction(3, 2), Fraction(1, 2), Fraction(1, 3), 1.1),
+            (0, 20),
+            "563ccec9f69e9cc28e4e4cca22d7eec681c5843c48eb3c49e04393e1fee04c46",
+            id="mixed-exponents",
+        ),
+        # 11 of these 24 audits have k * n**z below an eighth of the member
+        # count, (12, 9, 3) but not (11, 9, 3) among them
+        pytest.param(
+            [(1, 2), (5, 3), (9, 5), (12, 4), (20, 6), (30, 5), (11, 9), (12, 9)],
+            (1, 2, 3),
+            (0, 1, 20),
+            "e6d76c76a94005ae97db19366d80ee25db5623c4a7ed70539150016e0691b534",
+            id="integer-exponents",
+        ),
+    ],
+)
+def test_audit_reports_are_pinned(sizes, exponents, records, expected):
+    # sha256 over the repr of every report on a grid of exponents, with
+    # and without records
     digest = hashlib.sha256()
-    for n, k in [(1, 2), (5, 3), (9, 5), (13, 4), (21, 3)]:
-        for z in (2, 7.0, Fraction(3, 2), Fraction(1, 2), Fraction(1, 3), 1.1):
-            for max_collisions in (0, 20):
+    for n, k in sizes:
+        for z in exponents:
+            for max_collisions in records:
                 report = audit_uniqueness(n, k, z, max_collisions=max_collisions)
                 digest.update(repr(report).encode())
-    assert digest.hexdigest() == "563ccec9f69e9cc28e4e4cca22d7eec681c5843c48eb3c49e04393e1fee04c46"
+    assert digest.hexdigest() == expected
 
 
 def test_audit_rejects_bad_exponents_and_oversize():
@@ -525,6 +557,11 @@ EXPONENTS = st.one_of(
 # z = 1/q: 139 and 44 collisions, every shared hash regrouped exactly
 @example(n=9, k=5, z=Fraction(1, 2))
 @example(n=8, k=5, z=Fraction(1, 3))
+# k * n**z below an eighth of the member count: the sums are counted in a table
+@example(n=30, k=5, z=2)
+@example(n=20, k=6, z=2)
+@example(n=12, k=4, z=1)
+@example(n=9, k=5, z=1)
 def test_audit_matches_exact_oracle(n, k, z):
     _assert_matches_oracle(audit_uniqueness(n, k, z), n, k, z)
 
