@@ -15,16 +15,17 @@ coefficients agree radical by radical. One uint64 hash of those
 coefficients, each reduced modulo a prime above every n so that no term
 hashes to 0, finds the candidate collisions: the hashes, sorted in
 place, count the distinct ones and list those that repeat, about 9 B
-per member. Only when a hash repeats are the hashes grown again, in
-colex order, to find its members: a 2**16-entry table of the repeated
-hashes' low bits screens each member, and only the members it passes
-are searched for exactly. One regroup decides them: the candidates are
+per member. For integer z with k * n**z < 2**64 the hash is the exact
+sum, so only the reported hashes need regrouping; below an eighth of the
+member count, the sums are counted in a table of at most 1 B per member
+instead, and neither sorted nor grown again. Sorted hashes are grown
+again, in colex order, only when a hash repeats. Either way one lookup
+finds the members of the hashes to regroup: a 2**16-entry table of their
+low bits screens each member, and only the members it passes are
+searched for exactly. One regroup decides them: the candidates are
 unranked in one batch, sorted by form, and split by their exact
 coefficients alone, so a collision is reported only when two members
-agree radical by radical. For integer z with k * n**z < 2**64 the hash
-is the exact sum, so only the reported hashes need regrouping; below an
-eighth of the member count, the sums are counted in a table of at most
-1 B per member instead, and neither sorted nor grown again.
+agree radical by radical.
 
 From 2**20 hashes up, each level of growth, cut into runs of last values
 with about equal output, and the sort, partitioned in place at evenly
@@ -231,15 +232,12 @@ def audit_uniqueness(
         # every sum is below size // 8, so one int64 count per sum takes at most 1 B per member
         counts = np.bincount(sums.view(np.int64))
         unique_values = int(np.count_nonzero(counts))
-        want = counts >= 2
+        # uint64 like the sums: numpy would compare int64 with them as float64
+        shared = np.flatnonzero(counts >= 2).astype(np.uint64)
         del counts
-        shared = np.flatnonzero(want)
-        targets = shared[:max_collisions]
-        want[shared[max_collisions:]] = False
-        positions = np.flatnonzero(want[sums.view(np.int64)])
     else:
         # count distinct hashes, and list the repeated ones ascending, from
-        # the sums sorted in place; _members regrows them in colex order
+        # the sums sorted in place
         _sort_in_place(sums)
         repeat = sums[1:] == sums[:-1]
         unique_values = size - int(np.count_nonzero(repeat))
@@ -247,10 +245,11 @@ def audit_uniqueness(
             start = max(stop - _LOOKUP_CHUNK, 1)
             repeat[start:stop] &= ~repeat[start - 1 : stop - 1]
         shared = sums[1:][repeat]
-        del sums, repeat
-        targets = shared[:max_collisions] if injective else shared
-        positions = _members(n, k, table, targets)
-    forms = _forms_at(positions, n, k)
+        sums = repeat = None  # sorted: no longer in colex order
+    targets = shared[:max_collisions] if injective else shared
+    if sums is None and len(targets):
+        sums = _grow_sums(n, k, table)  # growth is deterministic: the same hashes, in colex order
+    forms = _forms_at(_members(sums, targets), n, k)
     # split the candidates, in lexicographic order, by exact value alone:
     # only equal members merge, and when every coefficient is below the
     # prime equal members share a hash, so the classes replace the targets
@@ -423,28 +422,26 @@ def _in_parallel(part, cuts: np.ndarray) -> None:
         raise errors[0]
 
 
-def _members(n: int, k: int, table: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Colex positions, ascending, of the members of A(n, k) whose hash
-    is in the sorted ``targets``.
+def _members(sums: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Positions, ascending, of the ``sums`` that are in the sorted ``targets``.
 
-    The hashes are grown again, only when there is a target: growth is
-    deterministic, so they match the ones the audit sorted. They are
-    looked up in fixed-size chunks so the temporaries stay small next to
-    them. A table of 2**16 flags, one per value of a hash's low 16 bits,
-    marks the targets' low bits and screens each member first: only the
-    members it passes are binary-searched, and each is confirmed by
-    exact equality, so the screen drops no member of a target.
+    Both counting paths of audit_uniqueness find their members here: the
+    table path in the sums it counted, never grown again, and the sorted
+    path in sums grown again in colex order. The sums are looked up in fixed-size chunks so the temporaries stay
+    small next to them. A table of 2**16 flags, one per value of a hash's
+    low 16 bits, marks the targets' low bits and screens each member
+    first: only the members it passes are binary-searched, and each is
+    confirmed by exact equality, so the screen drops no member of a target.
     """
     if not len(targets):
         return np.empty(0, dtype=np.int64)
-    sums = _grow_sums(n, k, table)
     low = np.uint64(_SCREEN_SIZE - 1)
     seen = np.zeros(_SCREEN_SIZE, dtype=bool)
     seen[targets & low] = True
     found = []
     for start in range(0, len(sums), _LOOKUP_CHUNK):
         chunk = sums[start : start + _LOOKUP_CHUNK]
-        hit = np.flatnonzero(seen[chunk & low])
+        hit = np.flatnonzero(seen[(chunk & low).view(np.int64)])  # numpy casts uint64 indices first
         chunk = chunk[hit]
         pos = np.searchsorted(targets, chunk)
         np.minimum(pos, len(targets) - 1, out=pos)

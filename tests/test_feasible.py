@@ -252,8 +252,8 @@ def test_audit_memory_per_member(audit, fully_unique, bound):
     # about 9 B per member, and so do the sums regrown when a hash repeats.
     # At z = 2, where 5 * 80**2 is below an eighth of the 1.9M members, the
     # sums are counted in a table of at most 1 B per member instead, and
-    # flagged in place of the regrowth; at z = 3 they are sorted and
-    # regrown. The lookup's chunks of 2**16 members add under 2 B per
+    # their members looked up in the same sums, never regrown; at z = 3
+    # they are sorted and regrown. The lookup's chunks of 2**16 members add under 2 B per
     # member even to the 0.6M of A(60, 5). The sort of the 8.3M hashes
     # of A(60, 6), split across threads, is still in place
     tracemalloc.start()
@@ -281,7 +281,7 @@ def test_audit_regrows_only_when_a_hash_repeats(monkeypatch, audit, calls, fully
     # the hashes are sorted in place; only an audit with a shared hash,
     # injective (z = 2) or regrouped in full (z = 1/2), grows them again.
     # Exact sums below an eighth of the member count are counted in a
-    # table instead, and their members read from the same sums
+    # table instead, and their members looked up in the same sums
     grown = []
     grow = feasible._grow_sums
     monkeypatch.setattr(feasible, "_grow_sums", lambda *args: grown.append(args) or grow(*args))
@@ -290,10 +290,14 @@ def test_audit_regrows_only_when_a_hash_repeats(monkeypatch, audit, calls, fully
     assert report.fully_unique == fully_unique
 
 
-@pytest.mark.parametrize("n, k, z", [(9, 5, Fraction(1, 2)), (10, 5, 2), (12, 4, Fraction(3, 2))])
+@pytest.mark.parametrize(
+    "n, k, z", [(9, 5, Fraction(1, 2)), (10, 5, 2), (12, 4, Fraction(3, 2)), (9, 5, 1)]
+)
 def test_audit_does_not_depend_on_the_chunk(monkeypatch, n, k, z):
     # run starts are marked, and members looked up, chunk by chunk; chunks
-    # of 1, 2 and 3 members cut every run of a repeated hash
+    # of 1, 2 and 3 members cut every run of a repeated hash. At (9, 5, 1)
+    # the sums, below an eighth of the 715 members, are counted in a table,
+    # and their members are looked up in the same chunks
     whole = audit_uniqueness(n, k, z)
     for chunk in (1, 2, 3):
         monkeypatch.setattr(feasible, "_LOOKUP_CHUNK", chunk)
@@ -484,10 +488,10 @@ def _audit_hashes(n: int, k: int, z, shift: int = 0) -> tuple[np.ndarray, np.nda
     return table, _grow_sums(n, k, table)
 
 
-def _check_members(n, k, table, sums, targets) -> np.ndarray:
+def _check_members(sums, targets) -> np.ndarray:
     """_members against a scan of every hash through a set; returns the
     positions found."""
-    positions = _members(n, k, table, targets)
+    positions = _members(sums, targets)
     wanted = set(targets.tolist())
     assert positions.tolist() == [p for p, h in enumerate(sums.tolist()) if h in wanted]
     return positions
@@ -495,7 +499,7 @@ def _check_members(n, k, table, sums, targets) -> np.ndarray:
 
 def test_members_match_a_brute_force_scan():
     n, k = 40, 4  # 12,341 members
-    table, sums = _audit_hashes(n, k, Fraction(3, 2))
+    _, sums = _audit_hashes(n, k, Fraction(3, 2))
     distinct = np.unique(sums)
     low = distinct & np.uint64(0xFFFF)
     present = set(sums.tolist())
@@ -508,16 +512,16 @@ def test_members_match_a_brute_force_scan():
     # one of them, so the screen lets them through to the exact check
     spread = distinct[::2]
     assert np.count_nonzero(np.isin(low[1::2], spread & np.uint64(0xFFFF))) > 300
-    assert len(_check_members(n, k, table, sums, np.empty(0, dtype=np.uint64))) == 0
-    assert len(_check_members(n, k, table, sums, np.array([absent], dtype=np.uint64))) == 0
-    assert len(_check_members(n, k, table, sums, pair)) >= 2
-    assert len(_check_members(n, k, table, sums, spread)) >= len(spread)
+    assert len(_check_members(sums, np.empty(0, dtype=np.uint64))) == 0
+    assert len(_check_members(sums, np.array([absent], dtype=np.uint64))) == 0
+    assert len(_check_members(sums, pair)) >= 2
+    assert len(_check_members(sums, spread)) >= len(spread)
     # every hash shifted by 16 bits has low bits 0: all members pass the
     # screen, and the exact lookup alone decides
-    table, sums = _audit_hashes(n, k, Fraction(3, 2), shift=16)
+    _, sums = _audit_hashes(n, k, Fraction(3, 2), shift=16)
     for targets in [np.array([1 << 16], dtype=np.uint64), np.unique(sums)[5:400:7]]:
         assert not np.any(targets & np.uint64(0xFFFF))
-        _check_members(n, k, table, sums, targets)
+        _check_members(sums, targets)
 
 
 def test_hash_table_has_no_zero_term():
@@ -598,12 +602,12 @@ def _assert_matches_oracle(report, n, k, z):
 def test_members_match_scan_on_random_targets(n, k, z, shift, data):
     # random subsets of the hashes, plus random values no member need
     # have; with shift = 16 every member passes the screen
-    table, sums = _audit_hashes(n, k, z, shift)
+    _, sums = _audit_hashes(n, k, z, shift)
     distinct = np.unique(sums)
     chosen = data.draw(st.sets(st.integers(0, len(distinct) - 1)))
     extra = data.draw(st.sets(st.integers(0, 2**64 - 1), max_size=3))
     targets = np.union1d(distinct[sorted(chosen)], np.array(sorted(extra), dtype=np.uint64))
-    _check_members(n, k, table, sums, targets)
+    _check_members(sums, targets)
 
 
 @settings(max_examples=60, deadline=None)
