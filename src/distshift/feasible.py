@@ -11,21 +11,25 @@ taken as the rational p/q it names (a finite float is exactly one; an
 integer is the case q = 1). Each term t**(p/q) is u * v**(1/q) with v
 free of q-th powers; distinct such radicals are linearly independent
 over the rationals, so two sums are equal exactly when their integer
-coefficients agree radical by radical. One uint64 hash of those
-coefficients, each reduced modulo a prime above every n so that no term
-hashes to 0, finds the candidate collisions: the hashes, sorted in
-place, count the distinct ones and list those that repeat, about 9 B
-per member. For integer z with k * n**z < 2**64 the hash is the exact
-sum, so only the reported hashes need regrouping; below an eighth of the
-member count, the sums are counted in a table of at most 1 B per member
-instead, and neither sorted nor grown again. Sorted hashes are grown
-again, in colex order, only when a hash repeats. Either way one lookup
-finds the members of the hashes to regroup: a 2**16-entry table of their
-low bits screens each member, and only the members it passes are
-searched for exactly. One regroup decides them: the candidates are
-unranked in one batch, sorted by form, and split by their exact
-coefficients alone, so a collision is reported only when two members
-agree radical by radical.
+coefficients agree radical by radical. For q >= 2, t = m**q * v has the
+coefficient m**p times a constant of v alone, so two members are equal
+only when, in some class v, multisets of at most k - 1 values m with
+m**q <= n have equal sums of m**p: when no two such multisets do, the
+audit has no collision and returns before any hashing. Otherwise one
+uint64 hash of the coefficients, each reduced modulo a prime above every
+n so that no term hashes to 0, finds the candidate collisions: the
+hashes, sorted in place, count the distinct ones and list those that
+repeat, about 9 B per member. For integer z with k * n**z < 2**64 the
+hash is the exact sum, so only the reported hashes need regrouping;
+below an eighth of the member count, the sums are counted in a table of
+at most 1 B per member instead, and neither sorted nor grown again.
+Sorted hashes are grown again, in colex order, only when a hash repeats.
+Either way one lookup finds the members of the hashes to regroup: a
+2**16-entry table of their low bits screens each member, and only the
+members it passes are searched for exactly. One regroup decides them:
+the candidates are unranked in one batch, sorted by form, and split by
+their exact coefficients alone, so a collision is reported only when two
+members agree radical by radical.
 
 From 2**20 hashes up, each level of growth, cut into runs of last values
 with about equal output, and the sort, partitioned in place at evenly
@@ -221,6 +225,8 @@ def audit_uniqueness(
         raise CapExceededError(n, k, size, cap)
 
     decomp = _root_decompositions(n, z.numerator, z.denominator)
+    if z.denominator > 1 and _classes_unique(n, k, z):
+        return UniquenessReport(n, k, z, size, size, 0, ())
     table = _hash_table(decomp, n, z)
     sums = _grow_sums(n, k, table)
     # members sharing a hash are candidates; they collide only when their
@@ -331,6 +337,18 @@ def _root_decompositions(n: int, p: int, q: int) -> list[tuple[int, tuple]]:
                 radical.append((prime, rem))
         out.append((u, tuple(radical)))
     return out
+
+
+def _classes_unique(n: int, k: int, z: Fraction) -> bool:
+    """Whether the multisets of k - 1 values m**p, m in 0..M, have distinct
+    sums, for z = p/q and M the largest m with m**q <= n; if so, A(n, k)
+    has no collision at z (see the module docstring)."""
+    p, q = z.numerator, z.denominator
+    top = 1  # M, counted up: 2**q > n once q >= n.bit_length(), and is never built
+    while q < int(n).bit_length() and (top + 1) ** q <= n:
+        top += 1
+    sums = {sum(c) for c in combinations_with_replacement([m**p for m in range(top + 1)], k - 1)}
+    return len(sums) == math.comb(top + k - 1, k - 1)
 
 
 def _hash_table(decomp: list[tuple[int, tuple]], n: int, z: Fraction) -> np.ndarray:

@@ -95,7 +95,8 @@ def test_criterion_3_uniqueness_audits():
     assert audit_uniqueness(10, 5, 7.0).fully_unique
     assert time.perf_counter() - start < 10.0
 
-    # default exponent is collision-free on the whole desk-scale slice
+    # the default exponent is collision-free on the whole desk-scale slice,
+    # n <= 30; it is not at every n: A(10**5, 5) has a tie
     skipped = 0
     members_audited = 0
     for n in range(1, 31):
@@ -113,14 +114,34 @@ def test_criterion_3_uniqueness_audits():
     assert time.perf_counter() - start < 600.0
 
 
-@pytest.mark.reach
-def test_criterion_3_reach():
-    # opt-in, pytest -m reach: the 13 cells criterion 3 skips, 944.6M
-    # members; A(30, 10) alone needs about 2.1 GB. Run with -s to see
-    # each cell's size and time and the run's peak RSS
+def _reach_cells():
+    """The 13 cells of n <= 30, k <= 10 beyond DEFAULT_CAP, 944.6M members."""
     cells = [(n, k) for n in range(1, 31) for k in range(2, 11) if cardinality(n, k) > DEFAULT_CAP]
     assert len(cells) == 13
-    for n, k in cells:
+    return cells
+
+
+def test_criterion_3_reach_by_radical_class():
+    # past the cap, the default exponent's radical classes alone decide
+    # each cell, with no hash built
+    start = time.perf_counter()
+    members = 0
+    for n, k in _reach_cells():
+        report = audit_uniqueness_default(n, k, cap=10**9)
+        assert report.fully_unique, (n, k)
+        members += report.total
+    assert members == 944_616_035
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.reach
+def test_criterion_3_reach(monkeypatch):
+    # opt-in, pytest -m reach: the cells above, each audited by the hash
+    # engine, which the radical classes would otherwise spare; A(30, 10)
+    # alone needs about 2.1 GB. Run with -s to see each cell's size and
+    # time and the run's peak RSS
+    monkeypatch.setattr("distshift.feasible._classes_unique", lambda *a: False)
+    for n, k in _reach_cells():
         start = time.perf_counter()
         report = audit_uniqueness_default(n, k, cap=10**9)
         print(f"A({n}, {k}): {report.total} members, {time.perf_counter() - start:.1f} s")

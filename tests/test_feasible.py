@@ -25,7 +25,13 @@ from distshift import (
     sample_uniform,
 )
 from distshift import feasible
-from distshift.feasible import _forms_at, _grow_sums, _members, _root_decompositions
+from distshift.feasible import (
+    _classes_unique,
+    _forms_at,
+    _grow_sums,
+    _members,
+    _root_decompositions,
+)
 
 from oracles import exact_sum_classes, floyd_uniform_members
 from test_shift import A33_CUMULATIVE
@@ -246,7 +252,9 @@ def test_audit_unit_fraction_exponents_at_60_5(z, unique, collisions):
                      id="regroup-80-5-z3_2"),
     ],
 )
-def test_audit_memory_per_member(audit, fully_unique, bound):
+def test_audit_memory_per_member(monkeypatch, audit, fully_unique, bound):
+    # the hash engine, even where the radical classes alone decide the
+    # audit (at the default exponent of A(60, 6)).
     # tracemalloc sees numpy buffers too: the uint64 sums, sorted in place,
     # and their repeat mask, whose run starts are marked in place, come to
     # about 9 B per member, and so do the sums regrown when a hash repeats.
@@ -256,6 +264,7 @@ def test_audit_memory_per_member(audit, fully_unique, bound):
     # they are sorted and regrown. The lookup's chunks of 2**16 members add under 2 B per
     # member even to the 0.6M of A(60, 5). The sort of the 8.3M hashes
     # of A(60, 6), split across threads, is still in place
+    monkeypatch.setattr(feasible, "_classes_unique", lambda *a: False)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -268,20 +277,26 @@ def test_audit_memory_per_member(audit, fully_unique, bound):
 
 
 @pytest.mark.parametrize(
-    "audit, calls, fully_unique",
+    "audit, hashed, calls, fully_unique",
     [
-        pytest.param(lambda: audit_uniqueness_default(30, 5), 1, True, id="default-30-5"),
-        pytest.param(lambda: audit_uniqueness(10, 5, 2), 2, False, id="injective-10-5-z2"),
-        pytest.param(lambda: audit_uniqueness(9, 5, Fraction(1, 2)), 2, False,
+        pytest.param(lambda: audit_uniqueness_default(30, 5), False, 0, True, id="default-30-5"),
+        pytest.param(lambda: audit_uniqueness_default(30, 5), True, 1, True,
+                     id="default-30-5-hashed"),
+        pytest.param(lambda: audit_uniqueness(10, 5, 2), False, 2, False, id="injective-10-5-z2"),
+        pytest.param(lambda: audit_uniqueness(9, 5, Fraction(1, 2)), False, 2, False,
                      id="regrouped-9-5-z1_2"),
-        pytest.param(lambda: audit_uniqueness(30, 5, 2), 1, False, id="table-30-5-z2"),
+        pytest.param(lambda: audit_uniqueness(30, 5, 2), False, 1, False, id="table-30-5-z2"),
     ],
 )
-def test_audit_regrows_only_when_a_hash_repeats(monkeypatch, audit, calls, fully_unique):
-    # the hashes are sorted in place; only an audit with a shared hash,
+def test_audit_regrows_only_when_a_hash_repeats(monkeypatch, audit, hashed, calls, fully_unique):
+    # the radical classes decide the default audit of A(30, 5) before any
+    # hash is grown; forced onto the hash engine, it grows them once.
+    # The hashes are sorted in place; only an audit with a shared hash,
     # injective (z = 2) or regrouped in full (z = 1/2), grows them again.
     # Exact sums below an eighth of the member count are counted in a
     # table instead, and their members looked up in the same sums
+    if hashed:
+        monkeypatch.setattr(feasible, "_classes_unique", lambda *a: False)
     grown = []
     grow = feasible._grow_sums
     monkeypatch.setattr(feasible, "_grow_sums", lambda *args: grown.append(args) or grow(*args))
@@ -297,7 +312,9 @@ def test_audit_does_not_depend_on_the_chunk(monkeypatch, n, k, z):
     # run starts are marked, and members looked up, chunk by chunk; chunks
     # of 1, 2 and 3 members cut every run of a repeated hash. At (9, 5, 1)
     # the sums, below an eighth of the 715 members, are counted in a table,
-    # and their members are looked up in the same chunks
+    # and their members are looked up in the same chunks. The hash engine
+    # runs even where the radical classes would decide, as at (12, 4, 3/2)
+    monkeypatch.setattr(feasible, "_classes_unique", lambda *a: False)
     whole = audit_uniqueness(n, k, z)
     for chunk in (1, 2, 3):
         monkeypatch.setattr(feasible, "_LOOKUP_CHUNK", chunk)
@@ -346,17 +363,22 @@ def test_audit_records_are_a_prefix(n, k, z, collisions):
 @pytest.mark.parametrize("workers", [1, 3], ids=["1-worker", "3-workers"])
 def test_audit_reports_are_pinned(monkeypatch, workers, sizes, exponents, records, expected):
     # sha256 over the repr of every report on a grid of exponents, with
-    # and without records. The size gate is lowered so that every level
-    # of growth and every sort is split, into one part or three
+    # and without records, with the radical classes deciding where they
+    # can and with the hash engine alone. The size gate is lowered so
+    # that every level of growth and every sort is split, into one part
+    # or three
     monkeypatch.setattr(feasible, "_SPLIT_MIN", 1)
     monkeypatch.setattr(feasible, "_WORKERS", workers)
-    digest = hashlib.sha256()
-    for n, k in sizes:
-        for z in exponents:
-            for max_collisions in records:
-                report = audit_uniqueness(n, k, z, max_collisions=max_collisions)
-                digest.update(repr(report).encode())
-    assert digest.hexdigest() == expected
+    for hashed in (False, True):
+        if hashed:
+            monkeypatch.setattr(feasible, "_classes_unique", lambda *a: False)
+        digest = hashlib.sha256()
+        for n, k in sizes:
+            for z in exponents:
+                for max_collisions in records:
+                    report = audit_uniqueness(n, k, z, max_collisions=max_collisions)
+                    digest.update(repr(report).encode())
+        assert digest.hexdigest() == expected, hashed
 
 
 def test_audit_rejects_bad_exponents_and_oversize():
@@ -435,7 +457,9 @@ def test_audit_rejects_exponents_with_huge_coefficients():
 
 def test_exact_confirmation_splits_false_hash_merges(monkeypatch):
     # an all-zero hash table merges every member of A(3, 3); their exact
-    # radical coefficients must split them back apart
+    # radical coefficients must split them back apart. The radical classes
+    # alone would decide A(3, 3) at z = 3/2, so the hash engine is forced
+    monkeypatch.setattr(feasible, "_classes_unique", lambda *a: False)
     monkeypatch.setattr(
         feasible, "_hash_table", lambda decomp, n, z: np.zeros(n + 1, dtype=np.uint64)
     )
@@ -577,6 +601,44 @@ EXPONENTS = st.one_of(
 @example(n=9, k=5, z=1)
 def test_audit_matches_exact_oracle(n, k, z):
     _assert_matches_oracle(audit_uniqueness(n, k, z), n, k, z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 16), k=st.integers(2, 5), z=EXPONENTS)
+# q >= 2 with several values per class: unique, and tied in the class v = 1
+@example(n=12, k=4, z=Fraction(3, 2))
+@example(n=16, k=5, z=Fraction(5, 2))
+@example(n=9, k=5, z=Fraction(1, 2))
+@example(n=8, k=5, z=Fraction(1, 3))
+@example(n=16, k=3, z=Fraction(5, 4))
+def test_classes_unique_matches_exact_oracle(n, k, z):
+    # integer exponents too: then q = 1, and the one class holds all of 1..n
+    z = Fraction(z)
+    assert _classes_unique(n, k, z) == (len(exact_sum_classes(n, k, z)) == cardinality(n, k))
+
+
+@pytest.mark.parametrize(
+    "k, left, right",
+    [(3, (59, 158), (133, 134)), (4, (13, 51, 64), (18, 44, 66)), (5, (2, 2, 9, 9), (3, 5, 6, 10))],
+)
+def test_default_exponent_first_collides_at_a_perfect_power(k, left, right):
+    # at z = (k + 1)/k the free totals m**k of the class v = 1 add m**(k + 1)
+    # each: A(n, k) has no collision below n = top**k, and at n = top**k the
+    # members whose free totals are the k-th powers of ``left`` and of
+    # ``right`` (the rest 0) are equal
+    top = max(left + right)
+    assert sum(m ** (k + 1) for m in left) == sum(m ** (k + 1) for m in right)
+    assert sorted(left) != sorted(right) and len(left) == len(right) <= k - 1
+    assert _classes_unique(top**k - 1, k, Fraction(k + 1, k))
+    assert not _classes_unique(top**k, k, Fraction(k + 1, k))
+
+
+def test_classes_unique_with_a_huge_denominator_returns_at_once():
+    # 2**q > n, so each class holds one value, found without building 2**q
+    start = time.perf_counter()
+    assert _classes_unique(5, 4, Fraction(2 * 10**19 + 1, 10**19))
+    assert _classes_unique(10**6, 9, Fraction(10**19 + 1, 10**19))
+    assert time.perf_counter() - start < 1.0
 
 
 def _assert_matches_oracle(report, n, k, z):
