@@ -30,19 +30,12 @@ members it passes are searched for exactly. One regroup decides them:
 the candidates are unranked in one batch, sorted by form, and split by
 their exact coefficients alone, so a collision is reported only when two
 members agree radical by radical.
-
-From 2**20 hashes up, each level of growth, cut into runs of last values
-with about equal output, and the sort, partitioned in place at evenly
-spaced ranks, run one part per CPU the process may use, each on its own
-thread. Nothing configures this, and no report depends on it.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import numbers
-import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
@@ -66,10 +59,6 @@ _HASH_PRIME = 2**64 - 59
 _AUDIT_ENTROPY = 0x1BD49A56F0C3
 #: Members looked up per step when finding the members of shared hashes.
 _LOOKUP_CHUNK = 1 << 16
-#: Threads that grow and sort an audit's hashes: the CPUs this process may run on.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-#: Fewest hashes whose growth or sort is split; below it the threads cost more than they save.
-_SPLIT_MIN = 1 << 20
 #: Entries of the flag table, indexed by a hash's low bits, that screens
 #: members before the exact lookup. 64 KiB stays in cache; a 2**20 table
 #: was slower with hundreds of targets, faster only with tens of thousands.
@@ -244,7 +233,7 @@ def audit_uniqueness(
     else:
         # count distinct hashes, and list the repeated ones ascending, from
         # the sums sorted in place
-        _sort_in_place(sums)
+        sums.sort()
         repeat = sums[1:] == sums[:-1]
         unique_values = size - int(np.count_nonzero(repeat))
         for stop in range(len(repeat), 0, -_LOOKUP_CHUNK):  # keep run starts, in place from the end
@@ -393,51 +382,15 @@ def _grow_sums(n: int, k: int, table: np.ndarray) -> np.ndarray:
     counts = np.ones(n + 1, dtype=np.int64)  # prefixes ending at each value
     for _ in range(k - 2):
         offsets = np.cumsum(counts)  # prefixes with last value <= w
-        ends = np.cumsum(offsets)  # where the sums of prefixes ending at each w end
-        grown = np.empty(int(ends[-1]), dtype=table.dtype)
-
-        def grow(lo, hi):  # each last value w whose sums end in (lo, hi]: a disjoint slice
-            for w in range(*np.searchsorted(ends, (lo, hi), side="right")):
-                np.add(cur[: offsets[w]], table[w], out=grown[ends[w] - offsets[w] : ends[w]])
-        _in_parallel(grow, _even_cuts(len(grown)))
+        grown = np.empty(int(offsets.sum()), dtype=table.dtype)
+        pos = 0
+        for w in range(n + 1):
+            span = int(offsets[w])
+            np.add(cur[:span], table[w], out=grown[pos : pos + span])
+            pos += span
         cur = grown
         counts = offsets
     return cur
-
-
-def _even_cuts(size: int) -> np.ndarray:
-    """Bounds of _WORKERS near-equal parts of ``size`` hashes; one part below _SPLIT_MIN."""
-    parts = _WORKERS if size >= _SPLIT_MIN else 1
-    return np.arange(parts + 1) * size // parts
-
-
-def _sort_in_place(sums: np.ndarray) -> None:
-    """``sums.sort()``, partitioned in place at evenly spaced ranks so that
-    each slice sorts on a thread of its own."""
-    cuts = _even_cuts(len(sums))
-    sums.partition(cuts[1:-1])
-    _in_parallel(lambda lo, hi: sums[lo:hi].sort(), cuts)
-
-
-def _in_parallel(part, cuts: np.ndarray) -> None:
-    """Call ``part(lo, hi)`` for each pair of neighbouring ``cuts``, the first on this
-    thread and every other on a thread of its own; join all, re-raise the first exception."""
-    errors = []
-
-    def run(lo, hi):
-        try:
-            part(lo, hi)
-        except Exception as exc:  # re-raised on the calling thread, after every join
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=bounds) for bounds in zip(cuts[1:-1], cuts[2:])]
-    for thread in threads:
-        thread.start()
-    run(*cuts[:2])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _members(sums: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -445,11 +398,12 @@ def _members(sums: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
     Both counting paths of audit_uniqueness find their members here: the
     table path in the sums it counted, never grown again, and the sorted
-    path in sums grown again in colex order. The sums are looked up in fixed-size chunks so the temporaries stay
-    small next to them. A table of 2**16 flags, one per value of a hash's
-    low 16 bits, marks the targets' low bits and screens each member
-    first: only the members it passes are binary-searched, and each is
-    confirmed by exact equality, so the screen drops no member of a target.
+    path in sums grown again in colex order. The sums are looked up in
+    fixed-size chunks so the temporaries stay small next to them. A table
+    of 2**16 flags, one per value of a hash's low 16 bits, marks the
+    targets' low bits and screens each member first: only the members it
+    passes are binary-searched, and each is confirmed by exact equality,
+    so the screen drops no member of a target.
     """
     if not len(targets):
         return np.empty(0, dtype=np.int64)

@@ -14,9 +14,8 @@ def test_every_export_resolves_once():
 
 
 def test_import_loads_no_process_pool():
-    # every experiment runs in the calling process, so importing the
-    # package must not pay for multiprocessing; the audit starts its
-    # threads with threading, which is loaded anyway, not with
+    # every experiment and audit runs in the calling process, so importing
+    # the package must not pay for multiprocessing or for
     # concurrent.futures, whose import costs milliseconds
     src = str(Path(distshift.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,12 +1,9 @@
 import hashlib
 import math
-import sys
-import threading
 import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -263,7 +260,7 @@ def test_audit_memory_per_member(monkeypatch, audit, fully_unique, bound):
     # their members looked up in the same sums, never regrown; at z = 3
     # they are sorted and regrown. The lookup's chunks of 2**16 members add under 2 B per
     # member even to the 0.6M of A(60, 5). The sort of the 8.3M hashes
-    # of A(60, 6), split across threads, is still in place
+    # of A(60, 6) is in place
     monkeypatch.setattr(feasible, "_classes_unique", lambda *a: False)
     tracemalloc.start()
     try:
@@ -360,15 +357,10 @@ def test_audit_records_are_a_prefix(n, k, z, collisions):
         ),
     ],
 )
-@pytest.mark.parametrize("workers", [1, 3], ids=["1-worker", "3-workers"])
-def test_audit_reports_are_pinned(monkeypatch, workers, sizes, exponents, records, expected):
+def test_audit_reports_are_pinned(monkeypatch, sizes, exponents, records, expected):
     # sha256 over the repr of every report on a grid of exponents, with
     # and without records, with the radical classes deciding where they
-    # can and with the hash engine alone. The size gate is lowered so
-    # that every level of growth and every sort is split, into one part
-    # or three
-    monkeypatch.setattr(feasible, "_SPLIT_MIN", 1)
-    monkeypatch.setattr(feasible, "_WORKERS", workers)
+    # can and with the hash engine alone
     for hashed in (False, True):
         if hashed:
             monkeypatch.setattr(feasible, "_classes_unique", lambda *a: False)
@@ -670,52 +662,3 @@ def test_members_match_scan_on_random_targets(n, k, z, shift, data):
     extra = data.draw(st.sets(st.integers(0, 2**64 - 1), max_size=3))
     targets = np.union1d(distinct[sorted(chosen)], np.array(sorted(extra), dtype=np.uint64))
     _check_members(sums, targets)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(1, 30),
-    k=st.integers(2, 6),
-    workers=st.integers(2, 5),
-    high=st.sampled_from([3, 2**64 - 1]),
-    data=st.data(),
-)
-def test_split_growth_and_sort_equal_serial(n, k, workers, high, data):
-    # with high = 3 most hashes repeat, so equal values straddle the cuts
-    table = np.array(
-        data.draw(st.lists(st.integers(0, high), min_size=n + 1, max_size=n + 1)), dtype=np.uint64
-    )
-    serial = _grow_sums(n, k, table)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
-    try:
-        with mock.patch.object(feasible, "_SPLIT_MIN", 1), mock.patch.object(
-            feasible, "_WORKERS", workers
-        ):
-            split = _grow_sums(n, k, table)
-            assert split.tobytes() == serial.tobytes()
-            feasible._sort_in_place(split)
-    finally:
-        sys.setswitchinterval(interval)
-    serial.sort()
-    assert split.tobytes() == serial.tobytes()
-
-
-@pytest.mark.parametrize("failing", [0, 2])
-def test_worker_exception_reaches_the_caller(failing):
-    # the calling thread runs part 0; every other part runs on its own
-    # thread, and all of them finish and are joined before the exception
-    # is raised
-    before = threading.active_count()
-    done = []
-
-    def part(lo, hi):
-        time.sleep(0.01 * lo)
-        if lo == failing:
-            raise ZeroDivisionError(lo)
-        done.append((lo, hi))
-
-    with pytest.raises(ZeroDivisionError, match=str(failing)):
-        feasible._in_parallel(part, np.arange(5))
-    assert sorted(done) == [(lo, lo + 1) for lo in range(4) if lo != failing]
-    assert threading.active_count() == before
