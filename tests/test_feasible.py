@@ -3,6 +3,7 @@ import math
 import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -357,20 +358,27 @@ def test_audit_records_are_a_prefix(n, k, z, collisions):
         ),
     ],
 )
-def test_audit_reports_are_pinned(monkeypatch, sizes, exponents, records, expected):
+@pytest.mark.parametrize("workers", [1, 3], ids=["1-worker", "3-workers"])
+def test_audit_reports_are_pinned(monkeypatch, workers, sizes, exponents, records, expected):
     # sha256 over the repr of every report on a grid of exponents, with
     # and without records, with the radical classes deciding where they
-    # can and with the hash engine alone
-    for hashed in (False, True):
-        if hashed:
-            monkeypatch.setattr(feasible, "_classes_unique", lambda *a: False)
+    # can and with the hash engine alone. The audit keeps no state between
+    # calls, so one caller or three callers running the grid at once each
+    # get the same digest
+    def grid_digest(_):
         digest = hashlib.sha256()
         for n, k in sizes:
             for z in exponents:
                 for max_collisions in records:
                     report = audit_uniqueness(n, k, z, max_collisions=max_collisions)
                     digest.update(repr(report).encode())
-        assert digest.hexdigest() == expected, hashed
+        return digest.hexdigest()
+
+    for hashed in (False, True):
+        if hashed:
+            monkeypatch.setattr(feasible, "_classes_unique", lambda *a: False)
+        with ThreadPoolExecutor(workers) as pool:
+            assert list(pool.map(grid_digest, range(workers))) == [expected] * workers, hashed
 
 
 def test_audit_rejects_bad_exponents_and_oversize():
