@@ -11,16 +11,24 @@ taken as the rational p/q it names (a finite float is exactly one; an
 integer is the case q = 1). Each term t**(p/q) is u * v**(1/q) with v
 free of q-th powers; distinct such radicals are linearly independent
 over the rationals, so two sums are equal exactly when their integer
-coefficients agree radical by radical. For q >= 2, t = m**q * v has the
-coefficient m**p times a constant of v alone, so two members are equal
-only when, in some class v, multisets of at most k - 1 values m with
-m**q <= n have equal sums of m**p: when no two such multisets do, the
-audit has no collision and returns before any hashing. Otherwise one
-uint64 hash of the coefficients, each reduced modulo a prime above every
-n so that no term hashes to 0, finds the candidate collisions: the
-hashes, sorted in place, count the distinct ones and list those that
-repeat, about 9 B per member. For integer z with k * n**z < 2**64 the
-hash is the exact sum, so only the reported hashes need regrouping;
+coefficients agree radical by radical.
+
+For q >= 2, t = m**q * v has the coefficient m**p times a constant of v
+alone, so two members are equal only when, in some class v, multisets
+of at most k - 1 values m with m**q <= n have equal sums of m**p. When
+no two such multisets do, the audit has no collision and returns at
+once. Otherwise the classes give the whole report, with no hash: the
+counts come from a table per class of its sums by fewest-term size and
+by the gap to their next realization, multiplied over the classes, and
+the records from the colliding members of smallest value alone, built
+from the tied sums.
+
+For integer z, one uint64 hash of the coefficients, each reduced modulo
+a prime above every n so that no term hashes to 0, finds the candidate
+collisions: the hashes, sorted in place, count the distinct ones and
+list those that repeat, about 9 B per member. With k * n**z < 2**64 the
+hash is the exact sum, so only the reported hashes need regrouping, and
+their members have every free total within a colex prefix of the sums;
 below an eighth of the member count, the sums are counted in a table of
 at most 1 B per member instead, and neither sorted nor grown again.
 Sorted hashes are grown again, in colex order, only when a hash repeats.
@@ -29,16 +37,18 @@ Either way one lookup finds the members of the hashes to regroup: a
 members it passes are searched for exactly. One regroup decides them:
 the candidates are unranked in one batch, sorted by form, and split by
 their exact coefficients alone, so a collision is reported only when two
-members agree radical by radical.
+members agree radical by radical. The same engine audits any rational
+exponent, as the oracle of the classes.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
+from itertools import accumulate, chain, combinations_with_replacement
 from typing import Iterator
 
 import numpy as np
@@ -214,63 +224,8 @@ def audit_uniqueness(
         raise CapExceededError(n, k, size, cap)
 
     decomp = _root_decompositions(n, z.numerator, z.denominator)
-    if z.denominator > 1 and _classes_unique(n, k, z):
-        return UniquenessReport(n, k, z, size, size, 0, ())
-    table = _hash_table(decomp, n, z)
-    sums = _grow_sums(n, k, table)
-    # members sharing a hash are candidates; they collide only when their
-    # integer coefficients agree on every radical. The hash is injective
-    # for integer z while k * n**z < 2**64, so there every shared hash is
-    # one collision and only the reported ones are regrouped
-    injective = z.denominator == 1 and k * decomp[n][0] < 2**64
-    if injective and k * decomp[n][0] < size // 8:
-        # every sum is below size // 8, so one int64 count per sum takes at most 1 B per member
-        counts = np.bincount(sums.view(np.int64))
-        unique_values = int(np.count_nonzero(counts))
-        # uint64 like the sums: numpy would compare int64 with them as float64
-        shared = np.flatnonzero(counts >= 2).astype(np.uint64)
-        del counts
-    else:
-        # count distinct hashes, and list the repeated ones ascending, from
-        # the sums sorted in place
-        sums.sort()
-        repeat = sums[1:] == sums[:-1]
-        unique_values = size - int(np.count_nonzero(repeat))
-        for stop in range(len(repeat), 0, -_LOOKUP_CHUNK):  # keep run starts, in place from the end
-            start = max(stop - _LOOKUP_CHUNK, 1)
-            repeat[start:stop] &= ~repeat[start - 1 : stop - 1]
-        shared = sums[1:][repeat]
-        sums = repeat = None  # sorted: no longer in colex order
-    targets = shared[:max_collisions] if injective else shared
-    if sums is None and len(targets):
-        sums = _grow_sums(n, k, table)  # growth is deterministic: the same hashes, in colex order
-    forms = _forms_at(_members(sums, targets), n, k)
-    # split the candidates, in lexicographic order, by exact value alone:
-    # only equal members merge, and when every coefficient is below the
-    # prime equal members share a hash, so the classes replace the targets
-    classes: dict[tuple, list[list[int]]] = {}
-    for form in forms[np.lexsort(forms.T[::-1])].tolist():
-        classes.setdefault(_exact_key(form, decomp), []).append(form)
-    unique_values += len(classes) - len(targets)
-    groups = [members for members in classes.values() if len(members) >= 2]
-
-    if z.denominator == 1:
-        def value_of(form):  # correctly rounded sum(t**z) / n**z
-            return sum(decomp[t][0] for t in form) / decomp[n][0]
-    else:
-        floats = ((np.arange(n + 1, dtype=np.float64) / n) ** float(z)).tolist()
-
-        def value_of(form):
-            return math.fsum(floats[t] for t in form)
-
-    return UniquenessReport(
-        n=n, k=k, z=z, total=size, unique_values=unique_values,
-        collision_count=len(shared) - len(targets) + len(groups),
-        collisions=tuple(
-            CollisionRecord(value_of(g[0]), len(g), tuple(map(tuple, g[:WITNESSES_PER_VALUE])))
-            for g in heapq.nsmallest(max_collisions, groups, key=lambda c: (value_of(c[0]), c[0]))
-        ),
-    )
+    audit = _hash_audit if z.denominator == 1 else _class_audit
+    return audit(n, k, z, decomp, size, max_collisions)
 
 
 def audit_uniqueness_default(n: int, k: int, **kwargs) -> UniquenessReport:
@@ -340,6 +295,208 @@ def _classes_unique(n: int, k: int, z: Fraction) -> bool:
     return len(sums) == math.comb(top + k - 1, k - 1)
 
 
+def _class_audit(
+    n: int, k: int, z: Fraction, decomp: list, size: int, max_collisions: int
+) -> UniquenessReport:
+    """audit_uniqueness for z = p/q with q >= 2, from the radical classes
+    alone (see the module docstring); no hash is built."""
+    if _classes_unique(n, k, z):
+        return UniquenessReport(n, k, z, size, size, 0, ())
+    classes: dict[tuple, list[int]] = {}  # radical -> its totals m**q * v, m = 1, 2, ...
+    for t in range(1, n + 1):
+        classes.setdefault(decomp[t][1], []).append(t)
+    per_size = Counter(map(len, classes.values()))
+    # Each sum of at most k - 1 values m**p, m <= M, has a fewest-term size
+    # a and a gap b - a to its next-fewest realization (k: none). Cell
+    # [a][g] of the table of a class with M values counts its sums of size
+    # a and gap >= g; the table of a product of classes adds sizes and
+    # takes the least gap, and a value of size a collides exactly when its
+    # gap is at most k - 1 - a. M grows by one value at a time
+    sums: dict[int, list[tuple[int, ...]]] = {}  # realizations, by largest value
+    fewest: dict[int, tuple[int, int]] = {}  # the two fewest-term sizes of each sum
+    cells = [[0] * (k + 1) for _ in range(k)]  # sums by size and exact gap
+    counted = [[1] * (k + 1)] + [[0] * (k + 1) for _ in range(k - 1)]
+    # m**p for m up to M_max: the class v = 1 has the most values
+    powers = [m**z.numerator for m in range(len(classes[()]) + 1)]
+    for top in range(len(powers)):
+        for head in combinations_with_replacement(range(top + 1), k - 2):
+            r = (*head, top)
+            r = r[r.count(0) :]
+            s, d = sum(map(powers.__getitem__, r)), len(r)
+            sums.setdefault(s, []).append(r)
+            if s in fewest:
+                a, b = fewest[s]
+                cells[a][min(b - a, k)] -= 1
+                fewest[s] = (d, a) if d < a else (a, min(b, d))
+            else:
+                fewest[s] = (d, 2 * k)  # no second realization: a gap above k
+            a, b = fewest[s]
+            cells[a][min(b - a, k)] += 1
+        copies = per_size.get(top, 0)
+        base = [list(accumulate(row[::-1]))[::-1] for row in cells]
+        while copies:
+            if copies & 1:
+                counted = _table_product(counted, base, k)
+            copies >>= 1
+            if copies:
+                base = _table_product(base, base, k)
+    unique_values = sum(row[0] for row in counted)
+    collision_count = sum(row[0] - row[k - a] for a, row in enumerate(counted))
+    if not max_collisions:
+        return UniquenessReport(n, k, z, size, unique_values, collision_count, ())
+
+    # A member collides exactly when, in some class, its part r realizes a
+    # tied sum and another realization r' fits beside the rest: it is
+    # r + X, with X at most k - 1 - max(|r|, least other |r'|) totals of
+    # other classes. These members are built by ascending float value
+    # from a heap, each X from its parent by repeating its last total or
+    # moving it to the next one, until max_collisions values have two
+    # members; then on to that value plus a margin, so that every value
+    # up to it has all its members
+    floats, value_of = _float_value(n, z)
+    # the running float sum of a member and the reported value (an fsum)
+    # of any member equal to it differ by under the margin: each term
+    # (t / n)**z, raised in floats, errs by a few ulps plus z times the
+    # rounding of t / n and of z, and k terms add k roundings
+    margin = k * (k + float(z) + 1024) * 2.0**-50
+    order = sorted(range(1, n + 1), key=floats.__getitem__)  # so no child is below its parent
+    ties = []  # (part r, room for X, class) of every tied realization
+    tied = [rs for rs in sums.values() if len(rs) >= 2]
+    for radical, ts in classes.items():
+        for rs in tied if len(ts) >= 2 else ():
+            rs = [r for r in rs if r[-1] <= len(ts)]
+            if len(rs) >= 2:
+                sizes = sorted(map(len, rs))
+                for r in rs:
+                    other = sizes[1] if len(r) == sizes[0] else sizes[0]
+                    ties.append((tuple(ts[m - 1] for m in r), k - 1 - max(len(r), other), radical))
+
+    # a member's running sum adds its terms in order, 1 and r's first, so
+    # a child's is its parent's, or the sum before the parent's last
+    # term, plus one term
+    heap = [(sum((floats[t] for t in r), 1.0), i, (), None) for i, (r, _, _) in enumerate(ties)]
+    heapq.heapify(heap)
+    # with no more collisions than records, every colliding member is
+    # built, in any order
+    bounded = collision_count > max_collisions
+    push, pop = (heapq.heappush, heapq.heappop) if bounded else (list.append, list.pop)
+    groups: dict[tuple, list[tuple[int, ...]]] = {}
+    shared, reach = 0, math.inf
+    while heap and heap[0][0] <= reach + margin:
+        at, i, picks, before = pop(heap)
+        part, room, radical = ties[i]
+        children = [(picks[:-1], picks[-1] + 1, before)] if picks else []
+        if len(picks) < room:
+            children.append((picks, picks[-1] if picks else 0, at))
+        for head, j, start in children:
+            while j < n and decomp[order[j]][1] == radical:  # X keeps out of r's class
+                j += 1
+            if j < n:
+                push(heap, (start + floats[order[j]], i, head + (j,), start))
+        member = tuple(sorted(part + tuple(order[j] for j in picks)))
+        form = (0,) * (k - 1 - len(member)) + member + (n,)
+        group = groups.setdefault(_exact_key(form, decomp), [])
+        if form not in group:  # a member with ties in two classes comes twice
+            group.append(form)
+            if len(group) == 2:
+                shared += 1
+                if bounded and shared == max_collisions:
+                    reach = at + margin
+    groups = [g for g in map(sorted, groups.values()) if len(g) >= 2]
+    if reach < math.inf:  # values beyond the reach may miss members
+        groups = [g for g in groups if value_of(g[0]) <= reach]
+    return UniquenessReport(n, k, z, size, unique_values, collision_count,
+                            _records(groups, value_of, max_collisions))
+
+
+def _table_product(x: list[list[int]], y: list[list[int]], k: int) -> list[list[int]]:
+    """Two (size, gap) count tables of _class_audit combined: sizes add up
+    to k - 1, and each gap column multiplies."""
+    out = [[0] * (k + 1) for _ in range(k)]
+    for a, row in enumerate(x):
+        for b in range(k - a):
+            out[a + b] = [o + r * s for o, r, s in zip(out[a + b], row, y[b])]
+    return out
+
+
+def _hash_audit(
+    n: int, k: int, z: Fraction, decomp: list, size: int, max_collisions: int
+) -> UniquenessReport:
+    """audit_uniqueness by hashing every member (see the module docstring):
+    the audit of integer exponents, and an oracle for _class_audit."""
+    table = _hash_table(decomp, n, z)
+    sums = _grow_sums(n, k, table)
+    # members sharing a hash are candidates; they collide only when their
+    # integer coefficients agree on every radical. The hash is injective
+    # for integer z while k * n**z < 2**64, so there every shared hash is
+    # one collision and only the reported ones are regrouped
+    injective = z.denominator == 1 and k * decomp[n][0] < 2**64
+    if injective and k * decomp[n][0] < size // 8:
+        # every sum is below size // 8, so one int64 count per sum takes at most 1 B per member
+        counts = np.bincount(sums.view(np.int64))
+        unique_values = int(np.count_nonzero(counts))
+        # uint64 like the sums: numpy would compare int64 with them as float64
+        shared = np.flatnonzero(counts >= 2).astype(np.uint64)
+        del counts
+    else:
+        # count distinct hashes, and list the repeated ones ascending, from
+        # the sums sorted in place
+        sums.sort()
+        repeat = sums[1:] == sums[:-1]
+        unique_values = size - int(np.count_nonzero(repeat))
+        for stop in range(len(repeat), 0, -_LOOKUP_CHUNK):  # keep run starts, in place from the end
+            start = max(stop - _LOOKUP_CHUNK, 1)
+            repeat[start:stop] &= ~repeat[start - 1 : stop - 1]
+        shared = sums[1:][repeat]
+        sums = repeat = None  # sorted: no longer in colex order
+    targets = shared[:max_collisions] if injective else shared
+    if len(targets):
+        top = n
+        if injective:
+            # the table rises with t, so a target's members have every free
+            # total t with t**z <= target - n**z: a colex prefix of the sums
+            top = int(np.searchsorted(table, targets[-1] - table[n], side="right")) - 1
+        if sums is None:  # growth is deterministic: the same hashes, in colex order
+            sums = _grow_sums(n, k, table, top)
+        sums = sums[: math.comb(top + k - 1, k - 1)]
+    forms = _forms_at(_members(sums, targets), n, k)
+    # split the candidates, in lexicographic order, by exact value alone:
+    # only equal members merge, and when every coefficient is below the
+    # prime equal members share a hash, so the classes replace the targets
+    classes: dict[tuple, list[list[int]]] = {}
+    for form in forms[np.lexsort(forms.T[::-1])].tolist():
+        classes.setdefault(_exact_key(form, decomp), []).append(form)
+    unique_values += len(classes) - len(targets)
+    groups = [members for members in classes.values() if len(members) >= 2]
+
+    if z.denominator == 1:
+        def value_of(form):  # correctly rounded sum(t**z) / n**z
+            return sum(decomp[t][0] for t in form) / decomp[n][0]
+    else:
+        _, value_of = _float_value(n, z)
+    return UniquenessReport(
+        n=n, k=k, z=z, total=size, unique_values=unique_values,
+        collision_count=len(shared) - len(targets) + len(groups),
+        collisions=_records(groups, value_of, max_collisions),
+    )
+
+
+def _float_value(n: int, z: Fraction):
+    """The terms (t / n)**z, t in 0..n, as floats, and the reported value
+    of a form at a non-integer z: the fsum of its terms."""
+    terms = ((np.arange(n + 1, dtype=np.float64) / n) ** float(z)).tolist()
+    return terms, lambda form: math.fsum(terms[t] for t in form)
+
+
+def _records(groups: list[list], value_of, max_collisions: int) -> tuple[CollisionRecord, ...]:
+    """The ``max_collisions`` groups of equal members, each in
+    lexicographic order, of smallest value, then first form."""
+    return tuple(
+        CollisionRecord(value_of(g[0]), len(g), tuple(map(tuple, g[:WITNESSES_PER_VALUE])))
+        for g in heapq.nsmallest(max_collisions, groups, key=lambda c: (value_of(c[0]), c[0]))
+    )
+
+
 def _hash_table(decomp: list[tuple[int, tuple]], n: int, z: Fraction) -> np.ndarray:
     """uint64 hash of each term t**z: its coefficient u modulo
     _HASH_PRIME, times a multiplier fixed per radical, modulo 2**64.
@@ -373,18 +530,21 @@ def _exact_key(form: list[int], decomp: list[tuple[int, tuple]]) -> tuple:
     return tuple(chain.from_iterable(sorted(coeffs.items())))
 
 
-def _grow_sums(n: int, k: int, table: np.ndarray) -> np.ndarray:
+def _grow_sums(n: int, k: int, table: np.ndarray, top: int | None = None) -> np.ndarray:
     """Hashes of every member of A(n, k): sums of ``table`` over each
     cumulative form (a_1, ..., a_{k-1}, n), each at the colex rank
     sum_i C(a_i + i - 1, i) of its free prefix, which _forms_at inverts.
+    With ``top``, only the members whose free totals are at most ``top``:
+    the first C(top + k - 1, k - 1) hashes of the whole.
     """
-    cur = table + table[n]
-    counts = np.ones(n + 1, dtype=np.int64)  # prefixes ending at each value
+    top = n if top is None else top
+    cur = table[: top + 1] + table[n]
+    counts = np.ones(top + 1, dtype=np.int64)  # prefixes ending at each value
     for _ in range(k - 2):
         offsets = np.cumsum(counts)  # prefixes with last value <= w
         grown = np.empty(int(offsets.sum()), dtype=table.dtype)
         pos = 0
-        for w in range(n + 1):
+        for w in range(top + 1):
             span = int(offsets[w])
             np.add(cur[:span], table[w], out=grown[pos : pos + span])
             pos += span
@@ -396,9 +556,10 @@ def _grow_sums(n: int, k: int, table: np.ndarray) -> np.ndarray:
 def _members(sums: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Positions, ascending, of the ``sums`` that are in the sorted ``targets``.
 
-    Both counting paths of audit_uniqueness find their members here: the
+    Both counting paths of the hash engine find their members here: the
     table path in the sums it counted, never grown again, and the sorted
-    path in sums grown again in colex order. The sums are looked up in
+    path in sums grown again in colex order; for an injective hash, only
+    the colex prefix that holds the reported sums. The sums are looked up in
     fixed-size chunks so the temporaries stay small next to them. A table
     of 2**16 flags, one per value of a hash's low 16 bits, marks the
     targets' low bits and screens each member first: only the members it

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -33,6 +33,11 @@ from distshift.feasible import (
 
 from oracles import exact_sum_classes, floyd_uniform_members
 from test_shift import A33_CUMULATIVE
+
+
+def _force_hash_engine(monkeypatch):
+    """Audit rational exponents by the hash engine, the radical classes' oracle."""
+    monkeypatch.setattr(feasible, "_class_audit", feasible._hash_audit)
 
 
 def test_cardinality_golden():
@@ -233,7 +238,8 @@ def test_audit_float_is_its_exact_rational():
     [(Fraction(1, 2), 549716, 45816), (Fraction(1, 3), 614868, 18009), (Fraction(1, 4), 629706, 5482)],
 )
 def test_audit_unit_fraction_exponents_at_60_5(z, unique, collisions):
-    # tens of thousands of shared hashes, every one regrouped exactly
+    # tens of thousands of collisions, counted and recorded from the
+    # radical classes
     report = audit_uniqueness(60, 5, z)
     assert (report.unique_values, report.collision_count) == (unique, collisions)
     assert report.total == 635376 and len(report.collisions) == 20
@@ -252,7 +258,7 @@ def test_audit_unit_fraction_exponents_at_60_5(z, unique, collisions):
 )
 def test_audit_memory_per_member(monkeypatch, audit, fully_unique, bound):
     # the hash engine, even where the radical classes alone decide the
-    # audit (at the default exponent of A(60, 6)).
+    # audit (every rational exponent here).
     # tracemalloc sees numpy buffers too: the uint64 sums, sorted in place,
     # and their repeat mask, whose run starts are marked in place, come to
     # about 9 B per member, and so do the sums regrown when a hash repeats.
@@ -262,7 +268,7 @@ def test_audit_memory_per_member(monkeypatch, audit, fully_unique, bound):
     # they are sorted and regrown. The lookup's chunks of 2**16 members add under 2 B per
     # member even to the 0.6M of A(60, 5). The sort of the 8.3M hashes
     # of A(60, 6) is in place
-    monkeypatch.setattr(feasible, "_classes_unique", lambda *a: False)
+    _force_hash_engine(monkeypatch)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -281,20 +287,23 @@ def test_audit_memory_per_member(monkeypatch, audit, fully_unique, bound):
         pytest.param(lambda: audit_uniqueness_default(30, 5), True, 1, True,
                      id="default-30-5-hashed"),
         pytest.param(lambda: audit_uniqueness(10, 5, 2), False, 2, False, id="injective-10-5-z2"),
-        pytest.param(lambda: audit_uniqueness(9, 5, Fraction(1, 2)), False, 2, False,
+        pytest.param(lambda: audit_uniqueness(9, 5, Fraction(1, 2)), False, 0, False,
                      id="regrouped-9-5-z1_2"),
+        pytest.param(lambda: audit_uniqueness(9, 5, Fraction(1, 2)), True, 2, False,
+                     id="regrouped-9-5-z1_2-hashed"),
         pytest.param(lambda: audit_uniqueness(30, 5, 2), False, 1, False, id="table-30-5-z2"),
     ],
 )
 def test_audit_regrows_only_when_a_hash_repeats(monkeypatch, audit, hashed, calls, fully_unique):
-    # the radical classes decide the default audit of A(30, 5) before any
-    # hash is grown; forced onto the hash engine, it grows them once.
+    # the radical classes decide every rational exponent, the default
+    # one of A(30, 5) and the colliding z = 1/2 of A(9, 5), with no hash
+    # grown; forced onto the hash engine, they grow them once, or twice.
     # The hashes are sorted in place; only an audit with a shared hash,
     # injective (z = 2) or regrouped in full (z = 1/2), grows them again.
     # Exact sums below an eighth of the member count are counted in a
     # table instead, and their members looked up in the same sums
     if hashed:
-        monkeypatch.setattr(feasible, "_classes_unique", lambda *a: False)
+        _force_hash_engine(monkeypatch)
     grown = []
     grow = feasible._grow_sums
     monkeypatch.setattr(feasible, "_grow_sums", lambda *args: grown.append(args) or grow(*args))
@@ -312,7 +321,7 @@ def test_audit_does_not_depend_on_the_chunk(monkeypatch, n, k, z):
     # the sums, below an eighth of the 715 members, are counted in a table,
     # and their members are looked up in the same chunks. The hash engine
     # runs even where the radical classes would decide, as at (12, 4, 3/2)
-    monkeypatch.setattr(feasible, "_classes_unique", lambda *a: False)
+    _force_hash_engine(monkeypatch)
     whole = audit_uniqueness(n, k, z)
     for chunk in (1, 2, 3):
         monkeypatch.setattr(feasible, "_LOOKUP_CHUNK", chunk)
@@ -323,8 +332,8 @@ def test_audit_does_not_depend_on_the_chunk(monkeypatch, n, k, z):
     "n, k, z, collisions", [(9, 5, Fraction(1, 2), 139), (10, 5, 2, 240), (30, 5, 2, 2711)]
 )
 def test_audit_records_are_a_prefix(n, k, z, collisions):
-    # non-injective (every shared hash regrouped), injective (only the
-    # reported ones) and counted in a table (5 * 30**2 is below an eighth
+    # from the radical classes (z = 1/2), injective (only the reported
+    # sums regrouped) and counted in a table (5 * 30**2 is below an eighth
     # of the 46,376 members): fewer records are the first of the full list
     full = audit_uniqueness(n, k, z, max_collisions=20)
     assert full.collision_count == collisions and len(full.collisions) == 20
@@ -361,10 +370,10 @@ def test_audit_records_are_a_prefix(n, k, z, collisions):
 @pytest.mark.parametrize("workers", [1, 3], ids=["1-worker", "3-workers"])
 def test_audit_reports_are_pinned(monkeypatch, workers, sizes, exponents, records, expected):
     # sha256 over the repr of every report on a grid of exponents, with
-    # and without records, with the radical classes deciding where they
-    # can and with the hash engine alone. The audit keeps no state between
-    # calls, so one caller or three callers running the grid at once each
-    # get the same digest
+    # and without records, with the radical classes deciding every
+    # rational exponent and with the hash engine alone. The audit keeps no
+    # state between calls, so one caller or three callers running the grid
+    # at once each get the same digest
     def grid_digest(_):
         digest = hashlib.sha256()
         for n, k in sizes:
@@ -376,7 +385,7 @@ def test_audit_reports_are_pinned(monkeypatch, workers, sizes, exponents, record
 
     for hashed in (False, True):
         if hashed:
-            monkeypatch.setattr(feasible, "_classes_unique", lambda *a: False)
+            _force_hash_engine(monkeypatch)
         with ThreadPoolExecutor(workers) as pool:
             assert list(pool.map(grid_digest, range(workers))) == [expected] * workers, hashed
 
@@ -458,8 +467,8 @@ def test_audit_rejects_exponents_with_huge_coefficients():
 def test_exact_confirmation_splits_false_hash_merges(monkeypatch):
     # an all-zero hash table merges every member of A(3, 3); their exact
     # radical coefficients must split them back apart. The radical classes
-    # alone would decide A(3, 3) at z = 3/2, so the hash engine is forced
-    monkeypatch.setattr(feasible, "_classes_unique", lambda *a: False)
+    # alone would decide every audit here, so the hash engine is forced
+    _force_hash_engine(monkeypatch)
     monkeypatch.setattr(
         feasible, "_hash_table", lambda decomp, n, z: np.zeros(n + 1, dtype=np.uint64)
     )
@@ -492,7 +501,9 @@ def test_exact_confirmation_splits_false_hash_merges(monkeypatch):
 def test_screen_passing_every_member_keeps_the_audit_exact(monkeypatch):
     # hash entries that are multiples of 2**16 give every member the low
     # bits 0 of every target, so the screen in _members passes them all
-    # and only the exact lookup decides
+    # and only the exact lookup decides; the hash engine is forced, since
+    # the radical classes would decide z = 1/2 with no hash
+    _force_hash_engine(monkeypatch)
     hash_table = feasible._hash_table
     monkeypatch.setattr(
         feasible, "_hash_table", lambda decomp, n, z: hash_table(decomp, n, z) << np.uint64(16)
@@ -548,6 +559,36 @@ def test_members_match_a_brute_force_scan():
         _check_members(sums, targets)
 
 
+@pytest.mark.parametrize(
+    "n, k, z, path",
+    [(60, 5, 2, "table"), (80, 5, 2, "table"), (10, 5, 2, "sorted"), (60, 5, 3, "sorted")],
+)
+def test_integer_lookup_in_a_colex_prefix_equals_the_full_scan(monkeypatch, n, k, z, path):
+    # the reported exact sums are the smallest, so their members lie in a
+    # colex prefix of the sums: the table path looks there in the sums it
+    # counted, the sorted path grows only that prefix again
+    size = cardinality(n, k)
+    assert (k * n**z < size // 8) == (path == "table")
+    looked = []
+    members = feasible._members
+    monkeypatch.setattr(feasible, "_members", lambda *args: looked.append(args) or members(*args))
+    report = audit_uniqueness(n, k, z)
+    ((sums, targets),) = looked
+    _, full = _audit_hashes(n, k, z)
+    assert len(targets) == len(report.collisions) == 20
+    assert len(sums) < size and np.array_equal(sums, full[: len(sums)])
+    assert np.array_equal(members(sums, targets), members(full, targets))
+
+
+def test_grow_sums_up_to_a_top_is_a_colex_prefix():
+    for n, k, z in [(9, 5, 2), (12, 4, Fraction(3, 2)), (6, 2, 1), (5, 3, 3)]:
+        table, full = _audit_hashes(n, k, z)
+        for top in range(n + 1):
+            prefix = _grow_sums(n, k, table, top)
+            assert len(prefix) == math.comb(top + k - 1, k - 1)
+            assert np.array_equal(prefix, full[: len(prefix)])
+
+
 def test_hash_table_has_no_zero_term():
     # the coefficient is reduced modulo a prime before it is multiplied,
     # so a multiple of 2**64 no longer hashes to 0
@@ -591,7 +632,7 @@ EXPONENTS = st.one_of(
 @example(n=9, k=4, z=65)
 @example(n=10, k=3, z=Fraction(129, 2))
 @example(n=8, k=5, z=Fraction(129, 2))
-# z = 1/q: 139 and 44 collisions, every shared hash regrouped exactly
+# z = 1/q: 139 and 44 collisions, from the radical classes
 @example(n=9, k=5, z=Fraction(1, 2))
 @example(n=8, k=5, z=Fraction(1, 3))
 # k * n**z below an eighth of the member count: the sums are counted in a table
@@ -639,6 +680,54 @@ def test_classes_unique_with_a_huge_denominator_returns_at_once():
     assert _classes_unique(5, 4, Fraction(2 * 10**19 + 1, 10**19))
     assert _classes_unique(10**6, 9, Fraction(10**19 + 1, 10**19))
     assert time.perf_counter() - start < 1.0
+
+
+RATIONAL_EXPONENTS = st.builds(Fraction, st.integers(1, 7), st.integers(2, 3)).filter(
+    lambda z: z.denominator > 1
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    k=st.integers(2, 6),
+    z=RATIONAL_EXPONENTS,
+    max_collisions=st.sampled_from([0, 1, 20]),
+)
+# ties in many classes, more collisions than records
+@example(n=20, k=5, z=Fraction(1, 2), max_collisions=20)
+@example(n=45, k=5, z=Fraction(1, 3), max_collisions=20)
+@example(n=40, k=4, z=Fraction(2, 3), max_collisions=1)
+# one collision: fewer than the records
+@example(n=30, k=6, z=Fraction(5, 2), max_collisions=20)
+@example(n=16, k=5, z=Fraction(5, 2), max_collisions=20)
+def test_class_audit_matches_the_hash_engine(n, k, z, max_collisions):
+    # the radical classes give the same report, records included, as the
+    # hash engine, and the counts of the exact oracle
+    assume(cardinality(n, k) <= 400_000)
+    report = audit_uniqueness(n, k, z, max_collisions=max_collisions)
+    with pytest.MonkeyPatch.context() as patch:
+        _force_hash_engine(patch)
+        assert report == audit_uniqueness(n, k, z, max_collisions=max_collisions)
+    if cardinality(n, k) <= 5_000:
+        classes = exact_sum_classes(n, k, z)
+        assert report.unique_values == len(classes)
+        assert report.collision_count == sum(len(forms) >= 2 for forms in classes)
+
+
+def test_class_audit_builds_no_hash(monkeypatch):
+    # the 635,376 members of A(60, 5) at z = 3/2 tie in the class v = 1,
+    # and the classes alone give the report: no hash table, no growth
+    def refuse(*args):
+        raise AssertionError("hashed")
+
+    monkeypatch.setattr(feasible, "_hash_table", refuse)
+    monkeypatch.setattr(feasible, "_grow_sums", refuse)
+    report = audit_uniqueness(60, 5, Fraction(3, 2))
+    assert (report.total, report.unique_values, report.collision_count) == (635376, 635180, 196)
+    assert len(report.collisions) == 20
+    # 3 * 3**3 = 1**3 + 2 * 2**3 + 4**3, as totals m**2
+    assert report.collisions[0].members == ((0, 9, 9, 9, 60), (1, 4, 4, 16, 60))
 
 
 def _assert_matches_oracle(report, n, k, z):
