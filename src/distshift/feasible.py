@@ -376,14 +376,10 @@ def _class_audit(
     # term, plus one term
     heap = [(sum((floats[t] for t in r), 1.0), i, (), None) for i, (r, _, _) in enumerate(ties)]
     heapq.heapify(heap)
-    # with no more collisions than records, every colliding member is
-    # built, in any order
-    bounded = collision_count > max_collisions
-    push, pop = (heapq.heappush, heapq.heappop) if bounded else (list.append, list.pop)
     groups: dict[tuple, list[tuple[int, ...]]] = {}
     shared, reach = 0, math.inf
     while heap and heap[0][0] <= reach + margin:
-        at, i, picks, before = pop(heap)
+        at, i, picks, before = heapq.heappop(heap)
         part, room, radical = ties[i]
         children = [(picks[:-1], picks[-1] + 1, before)] if picks else []
         if len(picks) < room:
@@ -392,7 +388,7 @@ def _class_audit(
             while j < n and decomp[order[j]][1] == radical:  # X keeps out of r's class
                 j += 1
             if j < n:
-                push(heap, (start + floats[order[j]], i, head + (j,), start))
+                heapq.heappush(heap, (start + floats[order[j]], i, head + (j,), start))
         member = tuple(sorted(part + tuple(order[j] for j in picks)))
         form = (0,) * (k - 1 - len(member)) + member + (n,)
         group = groups.setdefault(_exact_key(form, decomp), [])
@@ -400,7 +396,7 @@ def _class_audit(
             group.append(form)
             if len(group) == 2:
                 shared += 1
-                if bounded and shared == max_collisions:
+                if shared == max_collisions:
                     reach = at + margin
     groups = [g for g in map(sorted, groups.values()) if len(g) >= 2]
     if reach < math.inf:  # values beyond the reach may miss members

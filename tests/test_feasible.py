@@ -730,6 +730,20 @@ def test_class_audit_builds_no_hash(monkeypatch):
     assert report.collisions[0].members == ((0, 9, 9, 9, 60), (1, 4, 4, 16, 60))
 
 
+@pytest.mark.parametrize("n, k, z", [(60, 5, Fraction(3, 2)), (45, 5, Fraction(1, 3))])
+@pytest.mark.parametrize("spare", [-1, 0, 1])
+def test_class_audit_records_around_the_collision_count(n, k, z, spare):
+    # asked for one record fewer than, as many as, or one more than there
+    # are collisions, the classes build up to the last value reported and
+    # give the hash engine's report
+    count = audit_uniqueness(n, k, z, max_collisions=0).collision_count
+    report = audit_uniqueness(n, k, z, max_collisions=count + spare)
+    assert len(report.collisions) == count + min(spare, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        _force_hash_engine(patch)
+        assert report == audit_uniqueness(n, k, z, max_collisions=count + spare)
+
+
 def _assert_matches_oracle(report, n, k, z):
     classes = exact_sum_classes(n, k, z)
     shared = {forms[0]: forms for forms in classes if len(forms) >= 2}
