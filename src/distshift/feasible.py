@@ -28,11 +28,13 @@ a prime above every n so that no term hashes to 0, finds the candidate
 collisions: the hashes, sorted in place, count the distinct ones and
 list those that repeat, about 9 B per member. With k * n**z < 2**64 the
 hash is the exact sum, so only the reported hashes need regrouping, and
-their members have every free total within a colex prefix of the sums;
-below an eighth of the member count, the sums are counted in a table of
-at most 1 B per member instead, and neither sorted nor grown again.
-Sorted hashes are grown again, in colex order, only when a hash repeats.
-Either way one lookup finds the members of the hashes to regroup: a
+their members have every free total within a colex prefix of the sums.
+Where k * n**z is also below an eighth of the member count, no sum is
+grown to count them: a recurrence over the multisets of free totals
+counts the members of each exact sum from the terms t**z alone, in
+about k - 1 B per member. Either way the sums are grown in colex order,
+for the lookup, only when a hash repeats, and for an exact sum only that
+prefix; one lookup then finds the members of the hashes to regroup: a
 2**16-entry table of their low bits screens each member, and only the
 members it passes are searched for exactly. One regroup decides them:
 the candidates are unranked in one batch, sorted by form, and split by
@@ -263,6 +265,8 @@ def _root_decompositions(n: int, p: int, q: int) -> list[tuple[int, tuple]]:
             f"exponent {p}/{q} is too large for an exact audit at n={n}: the coefficient "
             f"{n}**{p // q} would exceed the limit of {MAX_COEFFICIENT_BITS} bits"
         )
+    if q == 1:  # an integer exponent leaves no radical
+        return [(t**p, ()) for t in range(n + 1)]
     spf = _smallest_prime_factors(n)
     out = [(0, ()), (1, ())]
     for t in range(2, n + 1):
@@ -421,22 +425,23 @@ def _hash_audit(
     """audit_uniqueness by hashing every member (see the module docstring):
     the audit of integer exponents, and an oracle for _class_audit."""
     table = _hash_table(decomp, n, z)
-    sums = _grow_sums(n, k, table)
     # members sharing a hash are candidates; they collide only when their
     # integer coefficients agree on every radical. The hash is injective
     # for integer z while k * n**z < 2**64, so there every shared hash is
     # one collision and only the reported ones are regrouped
     injective = z.denominator == 1 and k * decomp[n][0] < 2**64
     if injective and k * decomp[n][0] < size // 8:
-        # every sum is below size // 8, so one int64 count per sum takes at most 1 B per member
-        counts = np.bincount(sums.view(np.int64))
+        # few distinct sums: count the members of each from the terms
+        # alone, and grow no member until the lookup below
+        counts = _count_sums(n, k, table)
         unique_values = int(np.count_nonzero(counts))
         # uint64 like the sums: numpy would compare int64 with them as float64
-        shared = np.flatnonzero(counts >= 2).astype(np.uint64)
+        shared = np.flatnonzero(counts >= 2).astype(np.uint64) + table[n]
         del counts
     else:
         # count distinct hashes, and list the repeated ones ascending, from
         # the sums sorted in place
+        sums = _grow_sums(n, k, table)
         sums.sort()
         repeat = sums[1:] == sums[:-1]
         unique_values = size - int(np.count_nonzero(repeat))
@@ -444,17 +449,16 @@ def _hash_audit(
             start = max(stop - _LOOKUP_CHUNK, 1)
             repeat[start:stop] &= ~repeat[start - 1 : stop - 1]
         shared = sums[1:][repeat]
-        sums = repeat = None  # sorted: no longer in colex order
+        sums = repeat = None  # out of colex order: freed before the growth below
     targets = shared[:max_collisions] if injective else shared
-    if len(targets):
-        top = n
-        if injective:
-            # the table rises with t, so a target's members have every free
-            # total t with t**z <= target - n**z: a colex prefix of the sums
-            top = int(np.searchsorted(table, targets[-1] - table[n], side="right")) - 1
-        if sums is None:  # growth is deterministic: the same hashes, in colex order
-            sums = _grow_sums(n, k, table, top)
-        sums = sums[: math.comb(top + k - 1, k - 1)]
+    top = n
+    if injective and len(targets):
+        # the table rises with t, so a target's members have every free
+        # total t with t**z <= target - n**z: a colex prefix of the sums
+        top = int(np.searchsorted(table, targets[-1] - table[n], side="right")) - 1
+    # growth is deterministic: the same hashes, in the colex order that
+    # sorted sums lose and counted ones never had
+    sums = _grow_sums(n, k, table, top) if len(targets) else table[:0]
     forms = _forms_at(_members(sums, targets), n, k)
     # split the candidates, in lexicographic order, by exact value alone:
     # only equal members merge, and when every coefficient is below the
@@ -549,14 +553,37 @@ def _grow_sums(n: int, k: int, table: np.ndarray, top: int | None = None) -> np.
     return cur
 
 
+def _count_sums(n: int, k: int, table: np.ndarray) -> np.ndarray:
+    """Members of A(n, k) per exact sum of their free totals' terms, for
+    a ``table`` of exact integer terms t**z rising with t: entry s counts
+    the members whose hash, from _grow_sums, is s + table[n].
+
+    A member is a multiset of at most k - 1 nonzero free totals. Row j of
+    the count array counts the multisets of j of them by sum; adding the
+    totals t = 1..n in turn, each row j takes the row below it, already
+    holding t, shifted by t**z, and every sum of row j - 1 is then at most
+    (j - 1) * t**z. No member is built: the array takes
+    8 * k * ((k - 1) * n**z + 1) bytes, which the audit's condition
+    k * n**z < size // 8 keeps within (k - 1) * size + 8 for the ``size``
+    members, about k - 1 B per member, and the result a k-th of that.
+    """
+    top = int(table[n])
+    counts = np.zeros((k, (k - 1) * top + 1), dtype=np.int64)
+    counts[0, 0] = 1
+    for w in table[1:].tolist():
+        for j in range(1, k):
+            counts[j, w : j * w + 1] += counts[j - 1, : (j - 1) * w + 1]
+    return counts.sum(axis=0)
+
+
 def _members(sums: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Positions, ascending, of the ``sums`` that are in the sorted ``targets``.
 
-    Both counting paths of the hash engine find their members here: the
-    table path in the sums it counted, never grown again, and the sorted
-    path in sums grown again in colex order; for an injective hash, only
-    the colex prefix that holds the reported sums. The sums are looked up in
-    fixed-size chunks so the temporaries stay small next to them. A table
+    Both counting paths of the hash engine find their members here, in
+    sums grown for the lookup in the colex order that sorted sums lose and
+    counted ones never had; for an injective hash, only the colex prefix
+    that holds the reported sums. The sums are looked up in fixed-size
+    chunks so the temporaries stay small next to them. A table
     of 2**16 flags, one per value of a hash's low 16 bits, marks the
     targets' low bits and screens each member first: only the members it
     passes are binary-searched, and each is confirmed by exact equality,

@@ -25,6 +25,7 @@ from distshift import (
 from distshift import feasible
 from distshift.feasible import (
     _classes_unique,
+    _count_sums,
     _forms_at,
     _grow_sums,
     _members,
@@ -249,7 +250,7 @@ def test_audit_unit_fraction_exponents_at_60_5(z, unique, collisions):
     "audit, fully_unique, bound",
     [
         pytest.param(lambda: audit_uniqueness_default(60, 6), True, 9.5, id="default-60-6"),
-        pytest.param(lambda: audit_uniqueness(80, 5, 2), False, 12, id="table-80-5-z2"),
+        pytest.param(lambda: audit_uniqueness(80, 5, 2), False, 1.5, id="table-80-5-z2"),
         pytest.param(lambda: audit_uniqueness(80, 5, 3), False, 12, id="regrow-80-5-z3"),
         pytest.param(lambda: audit_uniqueness(60, 5, 3), False, 12, id="regrow-60-5-z3"),
         pytest.param(lambda: audit_uniqueness(80, 5, Fraction(3, 2)), False, 12,
@@ -262,10 +263,12 @@ def test_audit_memory_per_member(monkeypatch, audit, fully_unique, bound):
     # tracemalloc sees numpy buffers too: the uint64 sums, sorted in place,
     # and their repeat mask, whose run starts are marked in place, come to
     # about 9 B per member, and so do the sums regrown when a hash repeats.
-    # At z = 2, where 5 * 80**2 is below an eighth of the 1.9M members, the
-    # sums are counted in a table of at most 1 B per member instead, and
-    # their members looked up in the same sums, never regrown; at z = 3
-    # they are sorted and regrown. The lookup's chunks of 2**16 members add under 2 B per
+    # At z = 2, where 5 * 80**2 is below an eighth of the 1.9M members, no
+    # sum is grown to count them: the members per exact sum are counted
+    # from the terms t**2 alone, in 5 rows of 25,601 int64 (0.53 B per
+    # member), and only the colex prefix that holds the 20 smallest shared
+    # sums is grown, to find their members; at z = 3 the sums are sorted
+    # and regrown. The lookup's chunks of 2**16 members add under 2 B per
     # member even to the 0.6M of A(60, 5). The sort of the 8.3M hashes
     # of A(60, 6) is in place
     _force_hash_engine(monkeypatch)
@@ -281,27 +284,34 @@ def test_audit_memory_per_member(monkeypatch, audit, fully_unique, bound):
 
 
 @pytest.mark.parametrize(
-    "audit, hashed, calls, fully_unique",
+    "audit, hashed, calls, whole, fully_unique",
     [
-        pytest.param(lambda: audit_uniqueness_default(30, 5), False, 0, True, id="default-30-5"),
-        pytest.param(lambda: audit_uniqueness_default(30, 5), True, 1, True,
+        pytest.param(lambda: audit_uniqueness_default(30, 5), False, 0, 0, True,
+                     id="default-30-5"),
+        pytest.param(lambda: audit_uniqueness_default(30, 5), True, 1, 1, True,
                      id="default-30-5-hashed"),
-        pytest.param(lambda: audit_uniqueness(10, 5, 2), False, 2, False, id="injective-10-5-z2"),
-        pytest.param(lambda: audit_uniqueness(9, 5, Fraction(1, 2)), False, 0, False,
+        pytest.param(lambda: audit_uniqueness(10, 5, 2), False, 2, 1, False,
+                     id="injective-10-5-z2"),
+        pytest.param(lambda: audit_uniqueness(9, 5, Fraction(1, 2)), False, 0, 0, False,
                      id="regrouped-9-5-z1_2"),
-        pytest.param(lambda: audit_uniqueness(9, 5, Fraction(1, 2)), True, 2, False,
+        pytest.param(lambda: audit_uniqueness(9, 5, Fraction(1, 2)), True, 2, 2, False,
                      id="regrouped-9-5-z1_2-hashed"),
-        pytest.param(lambda: audit_uniqueness(30, 5, 2), False, 1, False, id="table-30-5-z2"),
+        pytest.param(lambda: audit_uniqueness(30, 5, 2), False, 1, 0, False, id="table-30-5-z2"),
+        pytest.param(lambda: audit_uniqueness(80, 5, 2), False, 1, 0, False, id="table-80-5-z2"),
     ],
 )
-def test_audit_regrows_only_when_a_hash_repeats(monkeypatch, audit, hashed, calls, fully_unique):
+def test_audit_regrows_only_when_a_hash_repeats(
+    monkeypatch, audit, hashed, calls, whole, fully_unique
+):
     # the radical classes decide every rational exponent, the default
     # one of A(30, 5) and the colliding z = 1/2 of A(9, 5), with no hash
     # grown; forced onto the hash engine, they grow them once, or twice.
     # The hashes are sorted in place; only an audit with a shared hash,
-    # injective (z = 2) or regrouped in full (z = 1/2), grows them again.
-    # Exact sums below an eighth of the member count are counted in a
-    # table instead, and their members looked up in the same sums
+    # injective (z = 2) or regrouped in full (z = 1/2), grows them again,
+    # and an injective one only up to a top below n. Where k * n**z is
+    # below an eighth of the member count, the members are counted per
+    # exact sum from the terms alone, and only that prefix is ever grown;
+    # ``whole`` counts the calls that grow every member
     if hashed:
         _force_hash_engine(monkeypatch)
     grown = []
@@ -309,6 +319,7 @@ def test_audit_regrows_only_when_a_hash_repeats(monkeypatch, audit, hashed, call
     monkeypatch.setattr(feasible, "_grow_sums", lambda *args: grown.append(args) or grow(*args))
     report = audit()
     assert len(grown) == calls
+    assert sum(len(args) == 3 or args[3] == args[0] for args in grown) == whole
     assert report.fully_unique == fully_unique
 
 
@@ -318,8 +329,9 @@ def test_audit_regrows_only_when_a_hash_repeats(monkeypatch, audit, hashed, call
 def test_audit_does_not_depend_on_the_chunk(monkeypatch, n, k, z):
     # run starts are marked, and members looked up, chunk by chunk; chunks
     # of 1, 2 and 3 members cut every run of a repeated hash. At (9, 5, 1)
-    # the sums, below an eighth of the 715 members, are counted in a table,
-    # and their members are looked up in the same chunks. The hash engine
+    # the sums, below an eighth of the 715 members, are counted from the
+    # terms alone, and the members of the reported ones are looked up in
+    # the same chunks, in the colex prefix grown for them. The hash engine
     # runs even where the radical classes would decide, as at (12, 4, 3/2)
     _force_hash_engine(monkeypatch)
     whole = audit_uniqueness(n, k, z)
@@ -333,8 +345,9 @@ def test_audit_does_not_depend_on_the_chunk(monkeypatch, n, k, z):
 )
 def test_audit_records_are_a_prefix(n, k, z, collisions):
     # from the radical classes (z = 1/2), injective (only the reported
-    # sums regrouped) and counted in a table (5 * 30**2 is below an eighth
-    # of the 46,376 members): fewer records are the first of the full list
+    # sums regrouped) and counted from the terms alone (5 * 30**2 is below
+    # an eighth of the 46,376 members): fewer records are the first of the
+    # full list
     full = audit_uniqueness(n, k, z, max_collisions=20)
     assert full.collision_count == collisions and len(full.collisions) == 20
     for m in (0, 1, 3):
@@ -565,8 +578,9 @@ def test_members_match_a_brute_force_scan():
 )
 def test_integer_lookup_in_a_colex_prefix_equals_the_full_scan(monkeypatch, n, k, z, path):
     # the reported exact sums are the smallest, so their members lie in a
-    # colex prefix of the sums: the table path looks there in the sums it
-    # counted, the sorted path grows only that prefix again
+    # colex prefix of the sums, and both counting paths grow only that
+    # prefix to look there: the sorted path again, the counting path for
+    # the first time
     size = cardinality(n, k)
     assert (k * n**z < size // 8) == (path == "table")
     looked = []
@@ -587,6 +601,27 @@ def test_grow_sums_up_to_a_top_is_a_colex_prefix():
             prefix = _grow_sums(n, k, table, top)
             assert len(prefix) == math.comb(top + k - 1, k - 1)
             assert np.array_equal(prefix, full[: len(prefix)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), k=st.integers(2, 7), z=st.integers(1, 4))
+@example(n=30, k=5, z=2)
+@example(n=9, k=5, z=1)
+def test_count_sums_equals_counting_every_grown_sum(n, k, z):
+    # the counts from the terms alone equal np.bincount of every member's
+    # exact free sum, as the audit counted them before
+    assume(cardinality(n, k) <= 400_000 and k * (k - 1) * n**z <= 2_000_000)
+    table, sums = _audit_hashes(n, k, z)
+    assert k * n**z < 2**64 and table[n] == n**z  # injective: the hashes are the sums
+    assert np.array_equal(_count_sums(n, k, table), np.bincount((sums - table[n]).view(np.int64)))
+
+
+def test_linear_audit_reaches_every_sum():
+    # at z = 1 the free totals of some member add up to each s in
+    # 0..(k - 1) * n, and to nothing else
+    for k in range(2, 7):
+        for n in range(1, 40):
+            assert audit_uniqueness(n, k, 1, max_collisions=0).unique_values == (k - 1) * n + 1
 
 
 def test_hash_table_has_no_zero_term():
@@ -635,7 +670,8 @@ EXPONENTS = st.one_of(
 # z = 1/q: 139 and 44 collisions, from the radical classes
 @example(n=9, k=5, z=Fraction(1, 2))
 @example(n=8, k=5, z=Fraction(1, 3))
-# k * n**z below an eighth of the member count: the sums are counted in a table
+# k * n**z below an eighth of the member count: the members are counted per
+# exact sum from the terms alone
 @example(n=30, k=5, z=2)
 @example(n=20, k=6, z=2)
 @example(n=12, k=4, z=1)
