@@ -29,14 +29,13 @@ collisions: the hashes, sorted in place, count the distinct ones and
 list those that repeat, about 9 B per member. With k * n**z < 2**64 the
 hash is the exact sum, so only the reported hashes need regrouping, and
 their members have every free total within a colex prefix of the sums.
-Where k * n**z is also below an eighth of the member count, no sum is
-grown to count them: a recurrence over the multisets of free totals
-counts the members of each exact sum from the terms t**z alone, in
-about k - 1 B per member. Either way the sums are grown in colex order,
-for the lookup, only when a hash repeats, and for an exact sum only that
-prefix; one lookup then finds the members of the hashes to regroup: a
-2**16-entry table of their low bits screens each member, and only the
-members it passes are searched for exactly. One regroup decides them:
+Where the recurrence's k * (k - 1) / 2 * n**z + k counts are also no
+more than the members, no sum is grown to count them: a recurrence over
+the multisets of free totals counts the members of each exact sum from
+the terms t**z alone, in at most 8 B per member. Either way the sums are
+grown in colex order, for the lookup, only when a hash repeats, and for
+an exact sum only that prefix; one lookup, np.isin, then finds the
+members of the hashes to regroup. One regroup decides them:
 the candidates are unranked in one batch, sorted by form, and split by
 their exact coefficients alone, so a collision is reported only when two
 members agree radical by radical. The same engine audits any rational
@@ -71,10 +70,6 @@ _HASH_PRIME = 2**64 - 59
 _AUDIT_ENTROPY = 0x1BD49A56F0C3
 #: Members looked up per step when finding the members of shared hashes.
 _LOOKUP_CHUNK = 1 << 16
-#: Entries of the flag table, indexed by a hash's low bits, that screens
-#: members before the exact lookup. 64 KiB stays in cache; a 2**20 table
-#: was slower with hundreds of targets, faster only with tens of thousands.
-_SCREEN_SIZE = 1 << 16
 #: Largest exact coefficient, in bits, an exact audit may build: the
 #: biggest, n**(p//q), has about (p // q) * log2(n) bits.
 MAX_COEFFICIENT_BITS = 1 << 16
@@ -363,7 +358,6 @@ def _class_audit(
     # (t / n)**z, raised in floats, errs by a few ulps plus z times the
     # rounding of t / n and of z, and k terms add k roundings
     margin = k * (k + float(z) + 1024) * 2.0**-50
-    order = sorted(range(1, n + 1), key=floats.__getitem__)  # so no child is below its parent
     ties = []  # (part r, room for X, class) of every tied realization
     tied = [rs for rs in sums.values() if len(rs) >= 2]
     for radical, ts in classes.items():
@@ -377,31 +371,36 @@ def _class_audit(
 
     # a member's running sum adds its terms in order, 1 and r's first, so
     # a child's is its parent's, or the sum before the parent's last
-    # term, plus one term
+    # term, plus one term. Here a class holds two values, so 2**q <= n:
+    # the float terms rise with t, or are 0.0, and no child is below its
+    # parent
     heap = [(sum((floats[t] for t in r), 1.0), i, (), None) for i, (r, _, _) in enumerate(ties)]
     heapq.heapify(heap)
     groups: dict[tuple, list[tuple[int, ...]]] = {}
+    built = set()  # a member with ties in two classes comes twice
     shared, reach = 0, math.inf
     while heap and heap[0][0] <= reach + margin:
         at, i, picks, before = heapq.heappop(heap)
         part, room, radical = ties[i]
         children = [(picks[:-1], picks[-1] + 1, before)] if picks else []
         if len(picks) < room:
-            children.append((picks, picks[-1] if picks else 0, at))
-        for head, j, start in children:
-            while j < n and decomp[order[j]][1] == radical:  # X keeps out of r's class
-                j += 1
-            if j < n:
-                heapq.heappush(heap, (start + floats[order[j]], i, head + (j,), start))
-        member = tuple(sorted(part + tuple(order[j] for j in picks)))
+            children.append((picks, picks[-1] if picks else 1, at))
+        for head, t, start in children:
+            while t <= n and decomp[t][1] == radical:  # X keeps out of r's class
+                t += 1
+            if t <= n:
+                heapq.heappush(heap, (start + floats[t], i, head + (t,), start))
+        member = tuple(sorted(part + picks))
         form = (0,) * (k - 1 - len(member)) + member + (n,)
+        if form in built:
+            continue
+        built.add(form)
         group = groups.setdefault(_exact_key(form, decomp), [])
-        if form not in group:  # a member with ties in two classes comes twice
-            group.append(form)
-            if len(group) == 2:
-                shared += 1
-                if shared == max_collisions:
-                    reach = at + margin
+        group.append(form)
+        if len(group) == 2:
+            shared += 1
+            if shared == max_collisions:
+                reach = at + margin
     groups = [g for g in map(sorted, groups.values()) if len(g) >= 2]
     if reach < math.inf:  # values beyond the reach may miss members
         groups = [g for g in groups if value_of(g[0]) <= reach]
@@ -430,9 +429,10 @@ def _hash_audit(
     # for integer z while k * n**z < 2**64, so there every shared hash is
     # one collision and only the reported ones are regrouped
     injective = z.denominator == 1 and k * decomp[n][0] < 2**64
-    if injective and k * decomp[n][0] < size // 8:
-        # few distinct sums: count the members of each from the terms
-        # alone, and grow no member until the lookup below
+    if injective and k * (k - 1) // 2 * decomp[n][0] + k <= size:
+        # the count rows hold no more entries than the sort below would
+        # hash members, 8 B each: count the members of each sum from the
+        # terms alone, and grow no member until the lookup below
         counts = _count_sums(n, k, table)
         unique_values = int(np.count_nonzero(counts))
         # uint64 like the sums: numpy would compare int64 with them as float64
@@ -562,47 +562,38 @@ def _count_sums(n: int, k: int, table: np.ndarray) -> np.ndarray:
     the count array counts the multisets of j of them by sum; adding the
     totals t = 1..n in turn, each row j takes the row below it, already
     holding t, shifted by t**z, and every sum of row j - 1 is then at most
-    (j - 1) * t**z. No member is built: the array takes
-    8 * k * ((k - 1) * n**z + 1) bytes, which the audit's condition
-    k * n**z < size // 8 keeps within (k - 1) * size + 8 for the ``size``
-    members, about k - 1 B per member, and the result a k-th of that.
+    (j - 1) * t**z, so row j takes j * n**z + 1 entries; the rows are
+    added into the last one at the end. No member is built: the audit's
+    condition keeps the k * (k - 1) / 2 * n**z + k entries, 8 B each,
+    within 8 B per member, what sorting their hashes would take.
     """
     top = int(table[n])
-    counts = np.zeros((k, (k - 1) * top + 1), dtype=np.int64)
-    counts[0, 0] = 1
+    rows = [np.zeros(j * top + 1, dtype=np.int64) for j in range(k)]
+    rows[0][0] = 1
     for w in table[1:].tolist():
         for j in range(1, k):
-            counts[j, w : j * w + 1] += counts[j - 1, : (j - 1) * w + 1]
-    return counts.sum(axis=0)
+            rows[j][w : j * w + 1] += rows[j - 1][: (j - 1) * w + 1]
+    counts = rows.pop()
+    for row in rows:
+        counts[: len(row)] += row
+    return counts
 
 
 def _members(sums: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Positions, ascending, of the ``sums`` that are in the sorted ``targets``.
+    """Positions, ascending, of the ``sums`` that are in the ``targets``.
 
     Both counting paths of the hash engine find their members here, in
     sums grown for the lookup in the colex order that sorted sums lose and
     counted ones never had; for an injective hash, only the colex prefix
     that holds the reported sums. The sums are looked up in fixed-size
-    chunks so the temporaries stay small next to them. A table
-    of 2**16 flags, one per value of a hash's low 16 bits, marks the
-    targets' low bits and screens each member first: only the members it
-    passes are binary-searched, and each is confirmed by exact equality,
-    so the screen drops no member of a target.
+    chunks so the temporaries stay small next to them.
     """
     if not len(targets):
         return np.empty(0, dtype=np.int64)
-    low = np.uint64(_SCREEN_SIZE - 1)
-    seen = np.zeros(_SCREEN_SIZE, dtype=bool)
-    seen[targets & low] = True
-    found = []
-    for start in range(0, len(sums), _LOOKUP_CHUNK):
-        chunk = sums[start : start + _LOOKUP_CHUNK]
-        hit = np.flatnonzero(seen[(chunk & low).view(np.int64)])  # numpy casts uint64 indices first
-        chunk = chunk[hit]
-        pos = np.searchsorted(targets, chunk)
-        np.minimum(pos, len(targets) - 1, out=pos)
-        found.append(hit[targets[pos] == chunk] + start)
-    return np.concatenate(found)
+    return np.concatenate([
+        np.flatnonzero(np.isin(sums[start : start + _LOOKUP_CHUNK], targets)) + start
+        for start in range(0, len(sums), _LOOKUP_CHUNK)
+    ])
 
 
 def _forms_at(positions: np.ndarray, n: int, k: int) -> np.ndarray:

@@ -250,7 +250,7 @@ def test_audit_unit_fraction_exponents_at_60_5(z, unique, collisions):
     "audit, fully_unique, bound",
     [
         pytest.param(lambda: audit_uniqueness_default(60, 6), True, 9.5, id="default-60-6"),
-        pytest.param(lambda: audit_uniqueness(80, 5, 2), False, 1.5, id="table-80-5-z2"),
+        pytest.param(lambda: audit_uniqueness(80, 5, 2), False, 0.5, id="table-80-5-z2"),
         pytest.param(lambda: audit_uniqueness(80, 5, 3), False, 12, id="regrow-80-5-z3"),
         pytest.param(lambda: audit_uniqueness(60, 5, 3), False, 12, id="regrow-60-5-z3"),
         pytest.param(lambda: audit_uniqueness(80, 5, Fraction(3, 2)), False, 12,
@@ -263,14 +263,14 @@ def test_audit_memory_per_member(monkeypatch, audit, fully_unique, bound):
     # tracemalloc sees numpy buffers too: the uint64 sums, sorted in place,
     # and their repeat mask, whose run starts are marked in place, come to
     # about 9 B per member, and so do the sums regrown when a hash repeats.
-    # At z = 2, where 5 * 80**2 is below an eighth of the 1.9M members, no
-    # sum is grown to count them: the members per exact sum are counted
-    # from the terms t**2 alone, in 5 rows of 25,601 int64 (0.53 B per
-    # member), and only the colex prefix that holds the 20 smallest shared
-    # sums is grown, to find their members; at z = 3 the sums are sorted
-    # and regrown. The lookup's chunks of 2**16 members add under 2 B per
-    # member even to the 0.6M of A(60, 5). The sort of the 8.3M hashes
-    # of A(60, 6) is in place
+    # At z = 2, where 10 * 80**2 + 5 count entries are fewer than the 1.9M
+    # members, no sum is grown to count them: the members per exact sum
+    # are counted from the terms t**2 alone, in rows of j * 80**2 + 1
+    # int64 for j < 5 (0.27 B per member), and only the colex prefix that
+    # holds the 20 smallest shared sums is grown, to find their members;
+    # at z = 3 the sums are sorted and regrown. The lookup's chunks of
+    # 2**16 members add under 2 B per member even to the 0.6M of A(60, 5).
+    # The sort of the 8.3M hashes of A(60, 6) is in place
     _force_hash_engine(monkeypatch)
     tracemalloc.start()
     try:
@@ -308,9 +308,9 @@ def test_audit_regrows_only_when_a_hash_repeats(
     # grown; forced onto the hash engine, they grow them once, or twice.
     # The hashes are sorted in place; only an audit with a shared hash,
     # injective (z = 2) or regrouped in full (z = 1/2), grows them again,
-    # and an injective one only up to a top below n. Where k * n**z is
-    # below an eighth of the member count, the members are counted per
-    # exact sum from the terms alone, and only that prefix is ever grown;
+    # and an injective one only up to a top below n. Where the count rows
+    # have no more entries than there are members, the members are counted
+    # per exact sum from the terms alone, and only that prefix is ever grown;
     # ``whole`` counts the calls that grow every member
     if hashed:
         _force_hash_engine(monkeypatch)
@@ -329,7 +329,7 @@ def test_audit_regrows_only_when_a_hash_repeats(
 def test_audit_does_not_depend_on_the_chunk(monkeypatch, n, k, z):
     # run starts are marked, and members looked up, chunk by chunk; chunks
     # of 1, 2 and 3 members cut every run of a repeated hash. At (9, 5, 1)
-    # the sums, below an eighth of the 715 members, are counted from the
+    # the sums, in 95 count entries for 715 members, are counted from the
     # terms alone, and the members of the reported ones are looked up in
     # the same chunks, in the colex prefix grown for them. The hash engine
     # runs even where the radical classes would decide, as at (12, 4, 3/2)
@@ -345,8 +345,8 @@ def test_audit_does_not_depend_on_the_chunk(monkeypatch, n, k, z):
 )
 def test_audit_records_are_a_prefix(n, k, z, collisions):
     # from the radical classes (z = 1/2), injective (only the reported
-    # sums regrouped) and counted from the terms alone (5 * 30**2 is below
-    # an eighth of the 46,376 members): fewer records are the first of the
+    # sums regrouped) and counted from the terms alone (10 * 30**2 + 5
+    # count entries for 46,376 members): fewer records are the first of the
     # full list
     full = audit_uniqueness(n, k, z, max_collisions=20)
     assert full.collision_count == collisions and len(full.collisions) == 20
@@ -369,8 +369,9 @@ def test_audit_records_are_a_prefix(n, k, z, collisions):
             "563ccec9f69e9cc28e4e4cca22d7eec681c5843c48eb3c49e04393e1fee04c46",
             id="mixed-exponents",
         ),
-        # 11 of these 24 audits have k * n**z below an eighth of the member
-        # count, (12, 9, 3) but not (11, 9, 3) among them
+        # 13 of these 24 audits count their members per sum, those whose
+        # k * (k - 1) / 2 * n**z + k count entries are at most the member
+        # count: (5, 3, 1) and (11, 9, 3) among them, but not (5, 3, 2)
         pytest.param(
             [(1, 2), (5, 3), (9, 5), (12, 4), (20, 6), (30, 5), (11, 9), (12, 9)],
             (1, 2, 3),
@@ -512,10 +513,11 @@ def test_exact_confirmation_splits_false_hash_merges(monkeypatch):
 
 
 def test_screen_passing_every_member_keeps_the_audit_exact(monkeypatch):
-    # hash entries that are multiples of 2**16 give every member the low
-    # bits 0 of every target, so the screen in _members passes them all
-    # and only the exact lookup decides; the hash engine is forced, since
-    # the radical classes would decide z = 1/2 with no hash
+    # hash entries that are multiples of 2**16 give every member and
+    # every target the low bits 0, so no hash is told apart by them and
+    # the lookup in _members must compare whole values; the hash engine
+    # is forced, since the radical classes would decide z = 1/2 with no
+    # hash
     _force_hash_engine(monkeypatch)
     hash_table = feasible._hash_table
     monkeypatch.setattr(
@@ -557,15 +559,15 @@ def test_members_match_a_brute_force_scan():
     first = np.flatnonzero(low[order][1:] == low[order][:-1])[0]
     pair = np.sort(distinct[order[first : first + 2]])
     # every other distinct hash: hundreds of the rest share low bits with
-    # one of them, so the screen lets them through to the exact check
+    # one of them, and only the whole values tell them apart
     spread = distinct[::2]
     assert np.count_nonzero(np.isin(low[1::2], spread & np.uint64(0xFFFF))) > 300
     assert len(_check_members(sums, np.empty(0, dtype=np.uint64))) == 0
     assert len(_check_members(sums, np.array([absent], dtype=np.uint64))) == 0
     assert len(_check_members(sums, pair)) >= 2
     assert len(_check_members(sums, spread)) >= len(spread)
-    # every hash shifted by 16 bits has low bits 0: all members pass the
-    # screen, and the exact lookup alone decides
+    # every hash shifted by 16 bits has low bits 0, and only the whole
+    # values tell the members apart
     _, sums = _audit_hashes(n, k, Fraction(3, 2), shift=16)
     for targets in [np.array([1 << 16], dtype=np.uint64), np.unique(sums)[5:400:7]]:
         assert not np.any(targets & np.uint64(0xFFFF))
@@ -582,7 +584,7 @@ def test_integer_lookup_in_a_colex_prefix_equals_the_full_scan(monkeypatch, n, k
     # prefix to look there: the sorted path again, the counting path for
     # the first time
     size = cardinality(n, k)
-    assert (k * n**z < size // 8) == (path == "table")
+    assert (k * (k - 1) // 2 * n**z + k <= size) == (path == "table")
     looked = []
     members = feasible._members
     monkeypatch.setattr(feasible, "_members", lambda *args: looked.append(args) or members(*args))
@@ -670,8 +672,8 @@ EXPONENTS = st.one_of(
 # z = 1/q: 139 and 44 collisions, from the radical classes
 @example(n=9, k=5, z=Fraction(1, 2))
 @example(n=8, k=5, z=Fraction(1, 3))
-# k * n**z below an eighth of the member count: the members are counted per
-# exact sum from the terms alone
+# k * (k - 1) / 2 * n**z + k count entries at most the member count: the
+# members are counted per exact sum from the terms alone
 @example(n=30, k=5, z=2)
 @example(n=20, k=6, z=2)
 @example(n=12, k=4, z=1)
@@ -780,6 +782,35 @@ def test_class_audit_records_around_the_collision_count(n, k, z, spare):
         assert report == audit_uniqueness(n, k, z, max_collisions=count + spare)
 
 
+def test_class_audit_builds_each_colliding_member_once(monkeypatch):
+    # with every record asked for, the class walk reaches each colliding
+    # member, some of them from ties in two classes, and takes the exact
+    # value of each once
+    keyed = []
+    exact_key = feasible._exact_key
+    monkeypatch.setattr(feasible, "_exact_key", lambda *args: keyed.append(args) or exact_key(*args))
+    report = audit_uniqueness(45, 5, Fraction(1, 3), max_collisions=10**6)
+    assert len(report.collisions) == report.collision_count
+    assert len(keyed) == sum(rec.count for rec in report.collisions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    nq=st.integers(2, 13).flatmap(lambda q: st.tuples(st.integers(2**q, 10**4), st.just(q))),
+    p=st.integers(1, 400),
+)
+@example(nq=(10**4, 13), p=1)
+@example(nq=(10**4, 2), p=399)  # (1 / n)**(399 / 2) underflows to 0.0
+def test_class_walk_terms_rise_with_the_total(nq, p):
+    # the class walk steps through the totals t in order, as if by float
+    # term: it runs only when some class holds two values, so 2**q <= n,
+    # and then no term (t / n)**z is below the one before it, so their
+    # stable sort is the identity
+    n, q = nq
+    terms, _ = feasible._float_value(n, Fraction(p, q))
+    assert sorted(range(1, n + 1), key=terms.__getitem__) == list(range(1, n + 1))
+
+
 def _assert_matches_oracle(report, n, k, z):
     classes = exact_sum_classes(n, k, z)
     shared = {forms[0]: forms for forms in classes if len(forms) >= 2}
@@ -802,7 +833,7 @@ def _assert_matches_oracle(report, n, k, z):
 )
 def test_members_match_scan_on_random_targets(n, k, z, shift, data):
     # random subsets of the hashes, plus random values no member need
-    # have; with shift = 16 every member passes the screen
+    # have; with shift = 16 every hash has the low bits 0
     _, sums = _audit_hashes(n, k, z, shift)
     distinct = np.unique(sums)
     chosen = data.draw(st.sets(st.integers(0, len(distinct) - 1)))
