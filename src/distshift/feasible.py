@@ -29,10 +29,10 @@ collisions: the hashes, sorted in place, count the distinct ones and
 list those that repeat, about 9 B per member. With k * n**z < 2**64 the
 hash is the exact sum, so only the reported hashes need regrouping, and
 their members have every free total within a colex prefix of the sums.
-Where the recurrence's k * (k - 1) / 2 * n**z + k counts are also no
-more than the members, no sum is grown to count them: a recurrence over
-the multisets of free totals counts the members of each exact sum from
-the terms t**z alone, in at most 8 B per member. Either way the sums are
+Where a recurrence over the multisets of free totals also needs no more
+counts, k * (k - 1) / 2 * n**z + k, than there are members, no sum is
+grown to count them: it counts the members of each exact sum from the
+terms t**z alone, in at most 8 B per member. Either way the sums are
 grown in colex order, for the lookup, only when a hash repeats, and for
 an exact sum only that prefix; one lookup, np.isin, then finds the
 members of the hashes to regroup. One regroup decides them:
