@@ -6,6 +6,11 @@ pmf on bins 0..k-1 per member. Each pair yields seven series (|RDS|,
 chi-square, non-intersection, sqrt KL, KS, EMD, sqrt RPS), which are
 then fitted pairwise with least-squares lines through the origin.
 
+The 28 unordered pairs of series are fitted in one stage: each series'
+finite mask is computed once, each series compacted once per distinct
+mask and its Σx² summed once per mask, and (x, y) and (y, x) share their
+sums. ``fit_through_origin`` is the two-series case of the same stage.
+
 Pair indices are cut into fixed blocks of ``BLOCK`` pairs. Block b draws
 all of its members in one call from its own generator, derived from
 (seed, b), and measures them in one batch, so a run is reproducible for
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ValidationError
-from .feasible import _require_int, _validate_nk, sample_uniform
+from .feasible import _require_int, _validate_sampled_nk, sample_uniform
 from .measures import MEASURE_NAMES, _measure_columns
 from .measures import compare_all  # unused here; bench/workloads.py patches this name
 
@@ -48,7 +53,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.source not in SOURCES:
             raise ValidationError(f"source must be one of {SOURCES}, got {self.source!r}")
-        _validate_nk(self.n, self.k)
+        _validate_sampled_nk(self.n, self.k)
         _require_int("num_pairs", self.num_pairs, 1)
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
@@ -108,7 +113,7 @@ def sample_poisson_distribution(lam: float, n: int, k: int, seed, size: int) -> 
     one multinomial draw from that pmf and sums to n exactly.
     ``FrequencyDistribution(row)`` gives one row to the scalar API.
     """
-    _validate_nk(n, k)
+    _validate_sampled_nk(n, k)
     _require_int("size", size, 0)
     return np.random.default_rng(seed).multinomial(n, _truncated_poisson_pmf(lam, k), size=size)
 
@@ -134,10 +139,7 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> Correlation
     parts = [_compute_block(config, block) for block in range(-(-config.num_pairs // BLOCK))]
     series = {name: np.concatenate([columns[name] for columns, _ in parts]) for name in MEASURE_NAMES}
     signed = np.concatenate([block_signed for _, block_signed in parts])
-    fits = {}  # each unordered pair once: (x, y) and (y, x) share their sums
-    for i, x in enumerate(MEASURE_NAMES):
-        for y in MEASURE_NAMES[i:]:
-            fits[x, y], fits[y, x] = _fit_both(series[x], series[y])
+    fits = _fit_pairs(series, [(x, y) for i, x in enumerate(MEASURE_NAMES) for y in MEASURE_NAMES[i:]])
     summaries = {(x, y): fits[x, y] for x in MEASURE_NAMES for y in MEASURE_NAMES}
     return CorrelationTable(config=config, summaries=summaries, series=series, signed_rds=signed)
 
@@ -171,27 +173,38 @@ def fit_through_origin(xs, ys) -> RegressionSummary:
     yields a degenerate summary. r_squared is formed as two ratios, so
     no product of sums can underflow or overflow on its way.
     """
-    return _fit_both(xs, ys)[0]
-
-
-def _fit_both(xs, ys) -> tuple[RegressionSummary, RegressionSummary]:
-    """``fit_through_origin(xs, ys)`` and ``(ys, xs)`` from one set of sums,
-    bit for bit: the second slope is Σxy/Σy², r_squared the same product."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValidationError("series must be 1-D and of equal length")
-    mask = np.isfinite(xs) & np.isfinite(ys)
-    if not mask.all():  # copy out the kept pairs only when some are dropped
-        xs, ys = xs[mask], ys[mask]
-    kept, dropped = len(xs), len(mask) - len(xs)
-    with np.errstate(over="ignore"):  # an overflowed sum is degenerate, below
-        sxx = float(xs @ xs)
-        syy = float(ys @ ys)
-        sxy = float(xs @ ys)
-    if kept < 2 or not (0.0 < sxx < math.inf and 0.0 < syy < math.inf):
-        return (RegressionSummary(0.0, 0.0, kept, dropped, degenerate=True),) * 2
-    slope, mirror = sxy / sxx, sxy / syy
-    r_squared = min(slope * mirror, 1.0)
-    return tuple(RegressionSummary(s, r_squared, kept, dropped) for s in (slope, mirror))
+    return _fit_pairs({"x": xs, "y": ys}, [("x", "y")])["x", "y"]
 
+
+def _fit_pairs(series, pairs) -> dict[tuple[str, str], RegressionSummary]:
+    """``fit_through_origin(series[x], series[y])`` and ``(y, x)`` for each
+    (x, y) in ``pairs`` of 1-D float series of one length, bit for bit.
+    The series with a non-finite value in a pair name the mask it keeps;
+    the mirrored slope is Σxy/Σy², and r_squared the same product."""
+    finite = {name: np.isfinite(xs) for name, xs in series.items()}
+    undefined = {name for name, mask in finite.items() if not mask.all()}
+    masks, kept, fits = {}, {}, {}
+    with np.errstate(over="ignore"):  # an overflowed sum is degenerate, below
+        for x, y in pairs:
+            key = frozenset({x, y} & undefined)  # empty: no mask, and no copy
+            if key and key not in masks:
+                masks[key] = np.logical_and.reduce([finite[name] for name in key])
+            for name in (x, y):
+                if (name, key) not in kept:
+                    xs = series[name][masks[key]] if key else series[name]
+                    kept[name, key] = xs, float(xs @ xs)
+            (xs, sxx), (ys, syy) = kept[x, key], kept[y, key]
+            sxy = sxx if x == y else float(xs @ ys)
+            count, dropped = len(xs), len(series[x]) - len(xs)
+            if count < 2 or not (0.0 < sxx < math.inf and 0.0 < syy < math.inf):
+                fits[x, y] = fits[y, x] = RegressionSummary(0.0, 0.0, count, dropped, degenerate=True)
+                continue
+            slope, mirror = sxy / sxx, sxy / syy
+            r_squared = min(slope * mirror, 1.0)
+            fits[x, y] = RegressionSummary(slope, r_squared, count, dropped)
+            fits[y, x] = RegressionSummary(mirror, r_squared, count, dropped)
+    return fits

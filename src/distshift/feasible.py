@@ -100,6 +100,14 @@ def _validate_nk(n: int, k: int) -> None:
     _require_int("k", k, 2)
 
 
+def _validate_sampled_nk(n: int, k: int) -> None:
+    """``_validate_nk``, and refuse n + k - 1 >= 2**63: the samplers draw
+    int64 values, the uniform one up to n + k - 1."""
+    _validate_nk(n, k)
+    if int(n) + int(k) - 1 >= 2**63:
+        raise ValidationError(f"n + k - 1 must be below 2**63 to sample, got n={n}, k={k}")
+
+
 def cardinality(n: int, k: int) -> int:
     """Exact number of members of A(n, k): C(n + k - 1, k - 1)."""
     _validate_nk(n, k)
@@ -143,7 +151,7 @@ def sample_uniform(n: int, k: int, seed, size: int) -> np.ndarray:
     ``seed`` may be an int or a numpy Generator; identical seeds produce
     identical draws.
     """
-    _validate_nk(n, k)
+    _validate_sampled_nk(n, k)
     _require_int("size", size, 0)
     rng = np.random.default_rng(seed)
     slots = n + k - 1

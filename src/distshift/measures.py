@@ -12,6 +12,7 @@ second argument has a zero bin where the first does not.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -122,6 +123,29 @@ class MeasureReport:
     rps_sqrt: float
 
 
+def _bin_terms(p, q):
+    """Each bin's chi-square term (p - q)**2 / (p + q), KL term p ln(p/q)
+    and |p - q|. A chi-square term is NaN (0/0) where both sides are empty;
+    a KL term is 0 where p = 0, then NaN where q = 0 (a shared empty bin,
+    or p outside q's support)."""
+    diff = p - q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi = diff * diff / (p + q)
+        kl = np.where(p == 0, 0.0, p * np.log(p / q))
+    return chi, np.where(q == 0, np.nan, kl), np.abs(diff)
+
+
+@functools.lru_cache(maxsize=1)
+def _lookup_tables(n: int, k: int):
+    """The DS term (F/n)**((k+1)/k) at index F in 0..n, and the
+    ``_bin_terms`` of (f1/n, f2/n) at flat index f1 * (n + 1) + f2."""
+    x = np.arange(n + 1) / n
+    tables = (np.power(x, (k + 1) / k), *(t.ravel() for t in _bin_terms(x[:, None], x)))
+    for table in tables:
+        table.flags.writeable = False  # the cache shares them
+    return tables
+
+
 def _measure_columns(a, b):
     """The ``MEASURE_NAMES`` columns and signed RDS for rows of counts.
 
@@ -138,6 +162,13 @@ def _measure_columns(a, b):
     sums round exactly as numpy's sums along a row of length k do; from
     k = 8 numpy sums a row pairwise, so values may differ from the
     row-major form in the last bits.
+
+    When every row of both sides has the same total n, each term is read
+    from ``_lookup_tables`` at the counts and running totals, which index
+    the doubles the arithmetic would round, so both domains agree bit for
+    bit. The lookup is taken only when (n + 1)**2 is at most the 2Nk
+    counts of the call: no table then holds more entries than the inputs
+    it serves, and a large n with few pairs builds none.
     """
     k = a.shape[1]
     a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
@@ -147,26 +178,26 @@ def _measure_columns(a, b):
         tot_a[i] += tot_a[i - 1]
         tot_b[i] += tot_b[i - 1]
     n1, n2 = tot_a[-1], tot_b[-1]
-    p, q = a / n1, b / n2
-    cum_p, cum_q = tot_a / n1, tot_b / n2
-    z = (k + 1) / k  # the default exponent of ``shift.ds``
-    ds1 = (np.power(cum_p, z).sum(axis=0) - 1.0) / (k - 1)
-    ds2 = (np.power(cum_q, z).sum(axis=0) - 1.0) / (k - 1)
+    n = int(n1.max(initial=0))
+    if (n + 1) ** 2 <= a.size + b.size and (n1 == n).all() and (n2 == n).all():
+        powers, *pair_tables = _lookup_tables(n, k)
+        power_a, power_b = powers.take(tot_a), powers.take(tot_b)
+        cells = a * (n + 1) + b
+        chi, kl, abs_diff = (table.take(cells) for table in pair_tables)
+        cum_diff = pair_tables[2].take(tot_a * (n + 1) + tot_b)
+    else:
+        chi, kl, abs_diff = _bin_terms(a / n1, b / n2)
+        cum_p, cum_q = tot_a / n1, tot_b / n2
+        cum_diff = np.abs(cum_p - cum_q)
+        z = (k + 1) / k  # the default exponent of ``shift.ds``
+        power_a, power_b = np.power(cum_p, z), np.power(cum_q, z)
+    ds1, ds2 = ((power.sum(axis=0) - 1.0) / (k - 1) for power in (power_a, power_b))
     signed = ds2 - ds1
-    diff = p - q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a bin empty on both sides is 0/0, which makes its pair NaN
-        chi = 0.5 * (diff * diff / (p + q)).sum(axis=0)
-        kl_terms = p * np.log(p / q)
-    kl_terms[a == 0] = 0.0
-    kl = kl_terms.sum(axis=0)
-    kl[(b == 0).any(axis=0)] = np.nan  # a shared empty bin, or f1 outside f2's support
-    cum_diff = np.abs(cum_p - cum_q)
     return {
         "abs_rds": np.abs(signed),
-        "chi_square": chi,
-        "non_intersection": 0.5 * np.abs(diff).sum(axis=0),
-        "kl_sqrt": np.sqrt(np.maximum(kl, 0.0)),
+        "chi_square": 0.5 * chi.sum(axis=0),
+        "non_intersection": 0.5 * abs_diff.sum(axis=0),
+        "kl_sqrt": np.sqrt(np.maximum(kl.sum(axis=0), 0.0)),
         "ks": cum_diff.max(axis=0),
         "emd": cum_diff.sum(axis=0),
         "rps_sqrt": np.sqrt((cum_diff * cum_diff).sum(axis=0)),

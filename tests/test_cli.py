@@ -412,6 +412,19 @@ def test_experiment_json_output(tmp_path, capsys):
     assert payload["r_squared"]["emd"]["emd"]["r_squared"] == 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--source", "feasible", "--pairs", "5"],
+    ["experiment", "--source", "poisson", "--lambda", "5", "--pairs", "5"],
+    ["fork", "--source", "feasible", "--pairs", "5", "--measure", "ks"],
+    ["sample", "--count", "2"],
+])
+def test_sampling_refuses_n_plus_k_past_int64(capsys, argv):
+    # n + k - 1 = 2**63 + 1 overflows the int64 draws, so validation refuses it
+    code, out, err = run(capsys, *argv, "-n", str(2**63 - 1), "-k", "3", "--seed", "1")
+    assert code == 1 and out == ""
+    assert err == f"error: n + k - 1 must be below 2**63 to sample, got n={2**63 - 1}, k=3\n"
+
+
 def test_experiment_poisson_requires_rate(capsys):
     code, out, err = run(capsys, "experiment", "--source", "poisson", "-n", "50",
                          "-k", "5", "--pairs", "20", "--seed", "1")

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -92,6 +93,31 @@ def test_sample_poisson_rejects_bad_arguments():
         sample_poisson_distribution(1000.0, 10, 3, seed=1, size=1)
     with pytest.raises(ValidationError, match="size must be at least 0"):
         sample_poisson_distribution(5.0, 10, 3, seed=1, size=-1)
+
+
+@pytest.mark.parametrize("n, k", [(2**63 - 2, 3), (2**63 - 1, 2), (2**64, 5),
+                                  (np.int64(2**63 - 1), 3), (2**62, 2**62 + 1)])
+def test_samplers_refuse_slots_past_int64(n, k):
+    # n + k - 1 >= 2**63 would overflow int64 in the draw, not in validation
+    message = "n \\+ k - 1 must be below 2\\*\\*63"
+    with pytest.raises(ValidationError, match=message):
+        sample_uniform(n, k, seed=1, size=1)
+    with pytest.raises(ValidationError, match=message):
+        sample_poisson_distribution(5.0, n, k, seed=1, size=1)
+    for source, lam in (("feasible_set", None), ("poisson", 5.0)):
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig(source, n, k, 10, 1, lam=lam)
+
+
+def test_samplers_still_draw_at_n_two_to_the_62():
+    n = 2**62
+    for rows in (sample_uniform(n, 3, seed=1, size=4),
+                 sample_poisson_distribution(5.0, n, 3, seed=1, size=4)):
+        assert rows.dtype == np.int64 and (rows >= 0).all()
+        assert [sum(row) for row in rows.tolist()] == [n] * 4
+    for source, lam in (("feasible_set", None), ("poisson", 5.0)):
+        table = run_experiment(ExperimentConfig(source, n, 3, 6, 1, lam=lam))
+        assert len(table.signed_rds) == 6
 
 
 def test_sample_poisson_matches_truncated_pmf():
@@ -324,3 +350,33 @@ def test_fit_through_origin_extreme_magnitudes():
         warnings.simplefilter("error")
         huge = fit_through_origin([1e200, 2e200], [1e200, 3e200])
     assert huge == RegressionSummary(0.0, 0.0, 2, 0, degenerate=True)
+
+
+@pytest.mark.parametrize("config, degenerate", [
+    # chi-square undefined for 140 pairs and KL for 348: three masks, none degenerate
+    (feasible_config(n=10, k=5, num_pairs=400, seed=7), False),
+    # three pairs at n = 1, k = 2: KL is undefined in all three, so its fits are degenerate
+    (feasible_config(n=1, k=2, num_pairs=3, seed=2), True),
+])
+def test_every_summary_is_fit_through_origin_of_its_series(config, degenerate):
+    table = run_experiment(config)
+    assert any(np.isnan(table.series["chi_square"]))
+    assert any(summary.degenerate for summary in table.summaries.values()) == degenerate
+    assert len(table.summaries) == len(MEASURE_NAMES) ** 2
+    for (x, y), summary in table.summaries.items():
+        assert summary == fit_through_origin(table.series[x], table.series[y]), (x, y)
+
+
+@pytest.mark.parametrize("n", [2000, 10**6])
+def test_large_n_with_few_pairs_builds_no_lookup_table(n):
+    # an (n + 1)**2 table would hold 32 MB at n = 2000, and cannot be built at 10**6
+    config = feasible_config(n=n, k=3, num_pairs=8, seed=5)
+    run_experiment(feasible_config(n=3, k=3, num_pairs=8))  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        table = run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.signed_rds) == 8
+    assert peak < 2**20, peak

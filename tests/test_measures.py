@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distshift import (
@@ -24,7 +24,7 @@ from distshift import (
     sample_uniform,
 )
 from distshift import measures, shift
-from distshift.measures import MeasureReport, _measure_columns
+from distshift.measures import MeasureReport, _lookup_tables, _measure_columns
 
 from oracles import assignment_emd, compositions, transport_emd
 
@@ -280,6 +280,59 @@ def test_measure_kernel_matches_compare_all(batch):
         if f1 == f2:
             assert signed[i] == 0.0
             assert all(column[i] == 0.0 for column in columns.values() if not math.isnan(column[i]))
+
+
+@st.composite
+def _shared_n_batches(draw):
+    """(n, rows of f1, rows of f2, m): every row has the same n, as in an
+    experiment; n = 1 and k = 2 are included, bins are forced empty on one
+    side, the other, or both, and some pairs are identical. The first m
+    pairs repeat to fill the batch, whose size is the fewest pairs N with
+    (n + 1)**2 <= 2Nk, give or take one or two: so it sits exactly at the
+    lookup domain's size rule when 2k divides (n + 1)**2, and just inside
+    or just past it otherwise."""
+    k = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 30))
+    bins = st.sets(st.integers(0, k - 1), max_size=k)
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        both = draw(bins)
+        first = draw(_member(n, k, both | draw(bins)))
+        pairs.append((first, first if draw(st.booleans()) else draw(_member(n, k, both | draw(bins)))))
+    fewest = -(-(n + 1) ** 2 // (2 * k))
+    size = max(1, fewest + draw(st.integers(-2, 1)))
+    a, b = (np.array(side, dtype=np.int64) for side in zip(*(pairs * size)[:size]))
+    return n, a, b, min(len(pairs), size)
+
+
+def _batch(n, a, b):
+    return n, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), len(a)
+
+
+@settings(max_examples=100, deadline=None)
+# n = 1, k = 2: 4 counts, exactly at the rule; bins empty on one side and on both
+@example(batch=_batch(1, [[1, 0]], [[0, 1]]))
+@example(batch=_batch(1, [[1, 0]], [[1, 0]]))
+# 16 counts at n = 3 are exactly at the rule, 12 just past it
+@example(batch=_batch(3, [[3, 0], [1, 2], [0, 3], [2, 1]], [[0, 3], [1, 2], [0, 3], [3, 0]]))
+@example(batch=_batch(3, [[3, 0], [1, 2], [0, 3]], [[0, 3], [1, 2], [0, 3]]))
+@given(batch=_shared_n_batches())
+def test_lookup_domain_equals_the_arithmetic_domain(batch):
+    n, a, b, distinct = batch
+    k = a.shape[1]
+    _lookup_tables.cache_clear()
+    columns, signed = _measure_columns(a, b)
+    assert _lookup_tables.cache_info().misses == ((n + 1) ** 2 <= a.size + b.size)
+    # one more pair, of total n + 1, sends the same rows to the arithmetic domain
+    odd = np.array([[n + 1] + [0] * (k - 1)], dtype=np.int64)
+    arithmetic, arithmetic_signed = _measure_columns(np.vstack([a, odd]), np.vstack([b, odd]))
+    assert _lookup_tables.cache_info().hits == 0
+    assert signed.tobytes() == arithmetic_signed[:-1].tobytes()
+    for name in MEASURE_NAMES:  # bit for bit, NaNs included
+        assert columns[name].tobytes() == arithmetic[name][:-1].tobytes(), name
+    for i in range(distinct):  # the later rows repeat these
+        assert_row_matches_report(columns, i, signed, FrequencyDistribution(a[i].tolist()),
+                                  FrequencyDistribution(b[i].tolist()))
 
 
 def _scalar_pairs():
