@@ -183,19 +183,22 @@ def fit_through_origin(xs, ys) -> RegressionSummary:
 def _fit_pairs(series, pairs) -> dict[tuple[str, str], RegressionSummary]:
     """``fit_through_origin(series[x], series[y])`` and ``(y, x)`` for each
     (x, y) in ``pairs`` of 1-D float series of one length, bit for bit.
-    The series with a non-finite value in a pair name the mask it keeps;
-    the mirrored slope is Σxy/Σy², and r_squared the same product."""
+    A pair keeps the points where both series are finite; equal masks
+    share each series' compacted copy and Σx². The mirrored slope is
+    Σxy/Σy², and r_squared the same product."""
     finite = {name: np.isfinite(xs) for name, xs in series.items()}
     undefined = {name for name, mask in finite.items() if not mask.all()}
     masks, kept, fits = {}, {}, {}
     with np.errstate(over="ignore"):  # an overflowed sum is degenerate, below
         for x, y in pairs:
-            key = frozenset({x, y} & undefined)  # empty: no mask, and no copy
-            if key and key not in masks:
-                masks[key] = np.logical_and.reduce([finite[name] for name in key])
+            names = frozenset({x, y} & undefined)  # empty: no mask, and no copy
+            if names not in masks:  # an equal mask shares its compacted series
+                mask = np.logical_and.reduce([finite[name] for name in names]) if names else None
+                masks[names] = (b"" if mask is None else mask.tobytes()), mask
+            key, mask = masks[names]
             for name in (x, y):
                 if (name, key) not in kept:
-                    xs = series[name][masks[key]] if key else series[name]
+                    xs = series[name] if mask is None else series[name][mask]
                     kept[name, key] = xs, float(xs @ xs)
             (xs, sxx), (ys, syy) = kept[x, key], kept[y, key]
             sxy = sxx if x == y else float(xs @ ys)

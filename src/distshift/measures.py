@@ -155,10 +155,10 @@ def _measure_columns(a, b):
     order, NaN where chi-square or KL is undefined by the rules above, and
     the N signed RDS values. ``compare_all`` is its oracle.
 
-    The work runs column-major: each input is copied once into a
-    C-contiguous (k, N) array, so bin i is one contiguous row of N values
-    and every per-pair reduction runs over axis 0, one row at a time,
-    whatever the memory order of the input. Below k = 8 those row-by-row
+    The work runs column-major: the running totals and every per-bin term
+    are C-contiguous (k, N) arrays, so bin i is one contiguous row of N
+    values and every per-pair reduction runs over axis 0, one row at a
+    time, whatever the memory order of the input. Below k = 8 those row-by-row
     sums round exactly as numpy's sums along a row of length k do; from
     k = 8 numpy sums a row pairwise, so values may differ from the
     row-major form in the last bits.
@@ -171,36 +171,43 @@ def _measure_columns(a, b):
     it serves, and a large n with few pairs builds none.
     """
     k = a.shape[1]
-    a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    # exact integer running totals F_i, one row add per bin
-    tot_a, tot_b = a.copy(), b.copy()
+    # exact integer running totals F_i in C-contiguous (k, N) arrays, one row add per bin
+    tot_a, tot_b = a.T.copy(), b.T.copy()
     for i in range(1, k):
         tot_a[i] += tot_a[i - 1]
         tot_b[i] += tot_b[i - 1]
     n1, n2 = tot_a[-1], tot_b[-1]
     n = int(n1.max(initial=0))
-    if (n + 1) ** 2 <= a.size + b.size and (n1 == n).all() and (n2 == n).all():
+    # per-pair sums of the DS terms of each side and of the chi-square, KL
+    # and |p - q| terms, and the (k, N) array of |P - Q|
+    if (n + 1) ** 2 <= 2 * tot_a.size and (n1 == n).all() and (n2 == n).all():
         powers, *pair_tables = _lookup_tables(n, k)
-        power_a, power_b = powers.take(tot_a), powers.take(tot_b)
-        cells = a * (n + 1) + b
-        chi, kl, abs_diff = (table.take(cells) for table in pair_tables)
-        cum_diff = pair_tables[2].take(tot_a * (n + 1) + tot_b)
+        # each gathered (k, N) array is summed and freed before the next is
+        # gathered: fewer live arrays take fewer fresh pages from the heap
+        s1, s2 = (powers.take(tot).sum(axis=0) for tot in (tot_a, tot_b))
+        cells = a.T * (n + 1) + b.T
+        chi, kl, abs_diff = (table.take(cells).sum(axis=0) for table in pair_tables)
+        tot_a *= n + 1  # the totals are done with: they become flat indices in place
+        tot_a += tot_b
+        cum_diff = pair_tables[2].take(tot_a)
     else:
-        chi, kl, abs_diff = _bin_terms(a / n1, b / n2)
+        a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+        chi, kl, abs_diff = (term.sum(axis=0) for term in _bin_terms(a / n1, b / n2))
         cum_p, cum_q = tot_a / n1, tot_b / n2
         cum_diff = np.abs(cum_p - cum_q)
         z = (k + 1) / k  # the default exponent of ``shift.ds``
-        power_a, power_b = np.power(cum_p, z), np.power(cum_q, z)
-    ds1, ds2 = ((power.sum(axis=0) - 1.0) / (k - 1) for power in (power_a, power_b))
-    signed = ds2 - ds1
+        s1, s2 = (np.power(cum, z).sum(axis=0) for cum in (cum_p, cum_q))
+    signed = (s2 - 1.0) / (k - 1) - (s1 - 1.0) / (k - 1)
+    ks, emd = cum_diff.max(axis=0), cum_diff.sum(axis=0)
+    cum_diff *= cum_diff
     return {
         "abs_rds": np.abs(signed),
-        "chi_square": 0.5 * chi.sum(axis=0),
-        "non_intersection": 0.5 * abs_diff.sum(axis=0),
-        "kl_sqrt": np.sqrt(np.maximum(kl.sum(axis=0), 0.0)),
-        "ks": cum_diff.max(axis=0),
-        "emd": cum_diff.sum(axis=0),
-        "rps_sqrt": np.sqrt((cum_diff * cum_diff).sum(axis=0)),
+        "chi_square": 0.5 * chi,
+        "non_intersection": 0.5 * abs_diff,
+        "kl_sqrt": np.sqrt(np.maximum(kl, 0.0)),
+        "ks": ks,
+        "emd": emd,
+        "rps_sqrt": np.sqrt(cum_diff.sum(axis=0)),
     }, signed
 
 

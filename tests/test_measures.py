@@ -322,14 +322,18 @@ def test_lookup_domain_equals_the_arithmetic_domain(batch):
     k = a.shape[1]
     _lookup_tables.cache_clear()
     columns, signed = _measure_columns(a, b)
-    assert _lookup_tables.cache_info().misses == ((n + 1) ** 2 <= a.size + b.size)
+    lookup = (n + 1) ** 2 <= a.size + b.size
+    # pair i as rows 2i and 2i + 1 of one F-ordered batch, as the experiment engine passes them
+    members = np.asfortranarray(np.stack([a, b], axis=1).reshape(-1, k))
+    interleaved = _measure_columns(members[0::2], members[1::2])
     # one more pair, of total n + 1, sends the same rows to the arithmetic domain
     odd = np.array([[n + 1] + [0] * (k - 1)], dtype=np.int64)
-    arithmetic, arithmetic_signed = _measure_columns(np.vstack([a, odd]), np.vstack([b, odd]))
-    assert _lookup_tables.cache_info().hits == 0
-    assert signed.tobytes() == arithmetic_signed[:-1].tobytes()
-    for name in MEASURE_NAMES:  # bit for bit, NaNs included
-        assert columns[name].tobytes() == arithmetic[name][:-1].tobytes(), name
+    arithmetic = _measure_columns(np.vstack([a, odd]), np.vstack([b, odd]))
+    assert _lookup_tables.cache_info()[:2] == (lookup, lookup)  # hits, misses
+    for other, rows in ((interleaved, slice(None)), (arithmetic, slice(-1))):
+        assert signed.tobytes() == other[1][rows].tobytes()
+        for name in MEASURE_NAMES:  # bit for bit, NaNs included
+            assert columns[name].tobytes() == other[0][name][rows].tobytes(), name
     for i in range(distinct):  # the later rows repeat these
         assert_row_matches_report(columns, i, signed, FrequencyDistribution(a[i].tolist()),
                                   FrequencyDistribution(b[i].tolist()))
